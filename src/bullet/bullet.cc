@@ -187,13 +187,18 @@ Result<std::vector<BulletClient::Listed>> BulletClient::list() {
   w.u8(static_cast<std::uint8_t>(BulletOp::list));
   auto res = rpc_.trans(port_, w.take());
   if (!res.is_ok()) return res.status();
-  Reader r(*res);
+  return decode_list(*res);
+}
+
+Result<std::vector<BulletClient::Listed>> BulletClient::decode_list(
+    const Buffer& reply) {
+  Reader r(reply);
   auto code = static_cast<Errc>(r.u8());
   if (code != Errc::ok) return Status::error(code, "bullet list failed");
-  const std::uint32_t n = r.u32();
+  const std::size_t n = r.count(cap::Capability::kEncodedBytes + 4);
   std::vector<Listed> out;
   out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Listed item;
     item.cap = cap::Capability::decode(r);
     item.data = r.bytes();

@@ -83,6 +83,8 @@ class BulletClient {
     Buffer data;
   };
   Result<std::vector<Listed>> list();
+  /// The reply half of list(). Throws DecodeError on malformed bytes.
+  static Result<std::vector<Listed>> decode_list(const Buffer& reply);
 
   [[nodiscard]] net::Port port() const { return port_; }
 

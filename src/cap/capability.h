@@ -32,6 +32,8 @@ struct Capability {
   [[nodiscard]] bool is_null() const { return port.v == 0 && object == 0; }
   auto operator<=>(const Capability&) const = default;
 
+  /// Wire size: port u64, object u32, rights u8, check u64.
+  static constexpr std::size_t kEncodedBytes = 21;
   void encode(Writer& w) const;
   static Capability decode(Reader& r);
 

@@ -90,6 +90,19 @@ class Reader {
     return std::string(b.begin(), b.end());
   }
 
+  /// Read a T-wide element count that precedes elements of at least
+  /// `min_encoded_bytes` (> 0) each. Throws DecodeError when the rest of
+  /// the buffer cannot hold that many, so a corrupt count never reaches a
+  /// reserve() or a long decode loop.
+  template <typename T = std::uint32_t>
+  std::size_t count(std::size_t min_encoded_bytes) {
+    const std::size_t n = static_cast<T>(get_le(sizeof(T)));
+    if (n > remaining() / min_encoded_bytes) {
+      throw DecodeError("element count exceeds message");
+    }
+    return n;
+  }
+
   /// Everything not yet consumed, without a length prefix.
   Buffer rest() {
     Buffer out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), buf_.end());

@@ -17,6 +17,7 @@
 // sanitizer builds validate memory safety, release builds get the speed.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -58,7 +59,7 @@ inline Cache& cache() {
 
 /// Index of the smallest class that fits `bytes` (bytes <= kMaxClass).
 inline std::size_t class_index(std::size_t bytes) {
-  const std::size_t sz = std::bit_ceil(bytes | kMinClass);
+  const std::size_t sz = std::bit_ceil(std::max(bytes, kMinClass));
   return static_cast<std::size_t>(std::countr_zero(sz)) - 4;
 }
 

@@ -258,14 +258,15 @@ Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
   if (!res.is_ok()) return res.status();
   try {
     Reader r(*res);
-    const std::uint16_t n = r.u16();
+    const std::size_t n = r.count<std::uint16_t>(2);  // column count
     std::vector<std::vector<cap::Capability>> out;
     out.reserve(n);
-    for (std::uint16_t i = 0; i < n; ++i) {
-      const std::uint16_t nc = r.u16();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t nc =
+          r.count<std::uint16_t>(cap::Capability::kEncodedBytes);
       std::vector<cap::Capability> cols;
       cols.reserve(nc);
-      for (std::uint16_t k = 0; k < nc; ++k) {
+      for (std::size_t k = 0; k < nc; ++k) {
         cols.push_back(cap::Capability::decode(r));
       }
       out.push_back(std::move(cols));

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
-#include "bullet/bullet.h"
 #include "common/log.h"
-#include "dir/nvram_log.h"
+#include "dir/persist.h"
 #include "dir/proto.h"
-#include "disk/disk_server.h"
-#include "nvram/nvram.h"
-#include "rpc/rpc.h"
 #include "sim/waitq.h"
 
 namespace amoeba::dir {
@@ -42,11 +39,8 @@ struct ServerCtx {
   bool in_recovery = true;
   bool continuously_up = false;
   sim::Time last_client_op = 0;
-  std::uint64_t pending_commit_seqno = 0;  // delete-dir seqno awaiting flush
 
-  nvram::Nvram* nv = nullptr;
-  bool flushing = false;
-  sim::WaitQueue flush_wq;
+  std::optional<NvramWriteBack> wb;  // NVRAM backend (use_nvram)
 
   GroupDirStats* stats = nullptr;
 
@@ -86,7 +80,6 @@ struct ServerCtx {
         state(opts.dir_port),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
-        flush_wq(m.sim()),
         mx_reads(m.metrics().counter("dir.group", "reads")),
         mx_writes(m.metrics().counter("dir.group", "writes")),
         mx_applies(m.metrics().counter("dir.group", "applies")),
@@ -120,36 +113,12 @@ struct ServerCtx {
   }
 };
 
-/// Per-process handles to this server's bullet and raw-partition servers.
-/// RpcClients are stateful, so every process owns its own Storage.
-struct Storage {
-  rpc::RpcClient rpc;
-  bullet::BulletClient bullet;
-  disk::DiskClient disk;
-  explicit Storage(ServerCtx& ctx)
-      : rpc(ctx.machine),
-        bullet(rpc, ctx.opts.bullet_port),
-        disk(rpc, ctx.opts.disk_port) {}
-};
-
 Port admin_port(const ServerCtx& ctx, int index) {
   return Port{ctx.opts.admin_port_base.v +
               ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
 }
 
 // --------------------------------------------------------- persistence
-
-/// Charge CPU and, when tracing, record the burst as a cpu-leg span under
-/// `parent` (the span covers queueing for the core plus the burst itself).
-void traced_cpu(ServerCtx& ctx, sim::Duration d, obs::TraceContext parent) {
-  const sim::Time t0 = ctx.now();
-  ctx.machine.cpu().use(d);
-  if (parent.active()) {
-    obs::Trace& tr = ctx.machine.trace();
-    tr.complete(t0, ctx.now() - t0, "cpu", "use", ctx.machine.id().v, 0,
-                parent.trace, tr.new_span_id(), parent.span, obs::Leg::cpu);
-  }
-}
 
 Status write_commit_block(ServerCtx& ctx, Storage& st,
                           obs::TraceContext tctx = {}) {
@@ -166,23 +135,12 @@ Result<cap::Capability> persist_object(ServerCtx& ctx, Storage& st,
   if (ctx.state.entry(obj) == nullptr || d == nullptr) {
     return Status::error(Errc::internal, "persist of unknown object");
   }
-  Buffer contents = d->serialize();
-  auto file = st.bullet.create(contents, tctx);
-  if (!file.is_ok()) return file.status();
-  // The Bullet create yields to the simulator; the group thread may have
-  // applied a delete_dir for this very object while we slept, invalidating
-  // any pointer into the table. Re-look the object up before touching it —
-  // if it is gone, drop the fresh file and report it; the caller's next
-  // flush sees the deletion record and clears the disk block.
-  ObjectEntry* e = ctx.state.entry(obj);
-  if (e == nullptr || ctx.state.directory(obj) == nullptr) {
-    (void)st.bullet.del(*file);
-    return Status::error(Errc::not_found, "object deleted during persist");
-  }
-  cap::Capability old = e->bullet;
-  e->bullet = *file;
+  // If a delete_dir removed the object during the Bullet create, the
+  // caller's next flush sees the deletion record and clears the block.
+  auto old = write_copy(ctx.state, st, obj, d->serialize(), tctx);
+  if (!old.is_ok()) return old;
   Writer w;
-  e->encode(w);
+  ctx.state.entry(obj)->encode(w);
   Status ws = st.disk.write_block(obj, w.take(), tctx);
   if (!ws.is_ok()) return ws;
   return old;
@@ -208,123 +166,12 @@ Status persist_everything(ServerCtx& ctx, Storage& st) {
   for (const auto& [obj, e] : ctx.state.table()) {
     auto old = persist_object(ctx, st, obj);
     if (!old.is_ok()) return old.status();
-    if (!old->is_null()) (void)st.bullet.del(*old);
+    retire(st, old);
   }
   return write_commit_block(ctx, st);
 }
 
-// --------------------------------------------------------- NVRAM backend
-
 using nvlog::request_target;
-
-void flush_all(ServerCtx& ctx, Storage& st) {
-  // Single-flight: a group thread blocked on a full NVRAM waits for the
-  // flusher (or vice versa).
-  while (ctx.flushing) ctx.flush_wq.wait();
-  if (ctx.nv->empty() && ctx.pending_commit_seqno == 0) return;
-  ctx.flushing = true;
-  struct Guard {
-    ServerCtx* c;
-    ~Guard() {
-      c->flushing = false;
-      c->flush_wq.notify_all();
-    }
-  } guard{&ctx};
-
-  // Snapshot which objects the log mentions; anything appended during the
-  // disk writes below stays in the log for the next flush.
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> objs;
-  for (const auto& rec : ctx.nv->records()) {
-    ids.push_back(rec.id);
-    for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
-      std::uint32_t obj =
-          d.objhint != 0 ? d.objhint : request_target(d.request);
-      if (obj != 0 &&
-          std::find(objs.begin(), objs.end(), obj) == objs.end()) {
-        objs.push_back(obj);
-      }
-    }
-  }
-  for (std::uint32_t obj : objs) {
-    if (ctx.state.entry(obj) != nullptr) {
-      auto old = persist_object(ctx, st, obj);
-      if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
-    } else {
-      (void)st.disk.write_block(obj, Buffer{});
-    }
-  }
-  if (ctx.pending_commit_seqno > ctx.cblock.seqno) {
-    ctx.cblock.seqno = ctx.pending_commit_seqno;
-  }
-  ctx.pending_commit_seqno = 0;
-  (void)write_commit_block(ctx, st);
-  for (std::uint64_t id : ids) (void)ctx.nv->cancel(id);
-  ctx.stats->flushes++;
-  ++ctx.mx_flushes;
-}
-
-/// Log an update in NVRAM instead of touching the disk (Sec. 4.1). Applies
-/// the append+delete cancellation: a delete whose matching append is still
-/// in the log removes the append and logs nothing.
-void nvram_log(ServerCtx& ctx, Storage& st, const Buffer& request,
-               std::uint64_t secret, std::uint64_t seqno,
-               const DirState::ApplyEffect& effect,
-               obs::TraceContext tctx = {}) {
-  const std::size_t cancelled = nvlog::try_cancel(*ctx.nv, request, effect);
-  if (cancelled > 0) {
-    ctx.stats->nvram_cancellations += cancelled;
-    return;
-  }
-  auto op_res = peek_op(request);
-  const DirOp op = op_res.is_ok() ? *op_res : DirOp::list_dir;
-  if (op == DirOp::delete_dir) {
-    // Deletion of an on-disk directory: remember the commit-block seqno
-    // obligation for the next flush (Fig. 4).
-    ctx.pending_commit_seqno = std::max(ctx.pending_commit_seqno, seqno);
-  }
-  nvlog::Record rec;
-  rec.seqno = seqno;
-  rec.secret = secret;
-  rec.request = request;
-  if (op == DirOp::create_dir && !effect.touched.empty()) {
-    rec.objhint = effect.touched.front();
-  }
-  Buffer encoded = nvlog::encode(rec);
-  while (!ctx.nv->would_fit(encoded.size())) {
-    // NVRAM full in the critical path: the update stalls on a flush — this
-    // is the visible cost of a small NVRAM (ablated in the benchmarks).
-    flush_all(ctx, st);
-  }
-  (void)ctx.nv->append(
-      rec.objhint != 0 ? rec.objhint : request_target(request),
-      std::move(encoded), tctx);
-}
-
-/// Group commit: ONE NVRAM append covering every state-changing update of
-/// one ordered batch. The append+delete cancellation is skipped — a batch
-/// record cannot be cancelled piecemeal (nvlog::try_cancel knows to refuse
-/// matches ordered before one).
-void nvram_log_batch(ServerCtx& ctx, Storage& st,
-                     const std::vector<nvlog::Record>& subs,
-                     std::uint64_t seqno, obs::TraceContext tctx = {}) {
-  for (const auto& rec : subs) {
-    auto op = peek_op(rec.request);
-    if (op.is_ok() && *op == DirOp::delete_dir) {
-      ctx.pending_commit_seqno = std::max(ctx.pending_commit_seqno, seqno);
-    }
-  }
-  const std::uint32_t label = subs.front().objhint != 0
-                                  ? subs.front().objhint
-                                  : request_target(subs.front().request);
-  Buffer encoded = nvlog::encode_batch(seqno, subs);
-  while (!ctx.nv->would_fit(encoded.size())) {
-    flush_all(ctx, st);
-  }
-  (void)ctx.nv->append(label, std::move(encoded), tctx);
-  ctx.stats->nvram_group_commits++;
-  ++ctx.mx_group_commits;
-}
 
 // --------------------------------------------------------- boot loading
 
@@ -370,17 +217,7 @@ void load_local_state(ServerCtx& ctx, Storage& st) {
     }
   }
 
-  std::uint64_t nv_max = 0;
-  if (ctx.nv != nullptr) {
-    // A crash mid-append leaves a torn tail record; drop it before replay.
-    const std::size_t torn = nvlog::truncate_torn(*ctx.nv);
-    if (torn > 0) {
-      LOG_WARN << ctx.machine.name() << " dropped " << torn
-               << " torn nvram tail record(s)";
-    }
-    nvlog::replay(ctx.state, *ctx.nv);
-    nv_max = nvlog::max_seqno(*ctx.nv);
-  }
+  const std::uint64_t nv_max = ctx.wb ? ctx.wb->recover(ctx.state) : 0;
 
   if (ctx.cblock.recovering) {
     // Crashed mid state-transfer: our mixture of old and new directories
@@ -655,11 +492,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
         ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
         ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
         ctx.cblock.seqno = peer_commit_seqno;
-        if (ctx.nv != nullptr) {
-          // The snapshot supersedes anything logged locally.
-          while (!ctx.nv->empty()) ctx.nv->pop_front();
-          ctx.pending_commit_seqno = 0;
-        }
+        if (ctx.wb) ctx.wb->clear();  // the snapshot supersedes the log
         Status ps = persist_everything(ctx, st);
         installed = ps.is_ok();
       } catch (const DecodeError&) {
@@ -855,9 +688,9 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     try {
       Reader r(msg.payload);
       if (msg.kind == group::MsgKind::batch) {
-        const std::uint32_t n = r.u32();
+        const std::size_t n = r.count(2 + 8 + 4);  // origin, msgid, bytes
         subs.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           const net::MachineId origin{r.u16()};
           (void)r.u64();  // group-level msgid; identity here is the opid
           Buffer body = r.bytes();
@@ -890,7 +723,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     const sim::Time apply_t0 = ctx.now();
     const std::uint64_t apply_sp = msg.ctx.active() ? tr.new_span_id() : 0;
     const obs::TraceContext actx{msg.ctx.trace, apply_sp};
-    traced_cpu(ctx, ctx.opts.cpu_apply, actx);
+    traced_cpu(ctx.machine, ctx.opts.cpu_apply, actx);
     // Any applied update counts as activity for the NVRAM idle-flush
     // heuristic, even when another server was the initiator.
     ctx.last_client_op = ctx.now();
@@ -941,29 +774,24 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
       for (std::uint32_t obj : effect.deleted) {
         deleted_union.emplace_back(obj, deleted_file);
       }
-      if (ctx.nv != nullptr) {
-        nvlog::Record rec;
-        rec.seqno = msg.seqno;
-        rec.secret = sub.secret;
-        rec.request = sub.request;
-        if (auto op = peek_op(sub.request); op.is_ok() &&
-            *op == DirOp::create_dir && !effect.touched.empty()) {
-          rec.objhint = effect.touched.front();
-        }
-        changed.push_back(std::move(rec));
+      if (ctx.wb) {
+        changed.push_back(
+            nvlog::make_record(sub.request, sub.secret, msg.seqno, effect));
         single_effect = effect;
       }
     }
 
     std::vector<cap::Capability> old_files;
-    if (ctx.nv != nullptr) {
+    if (ctx.wb) {
       if (changed.size() == 1) {
         // Lone changed update: the plain path keeps the append+delete
         // cancellation optimisation.
-        nvram_log(ctx, st, changed.front().request, changed.front().secret,
-                  msg.seqno, single_effect, actx);
+        ctx.wb->log(st, changed.front().request, changed.front().secret,
+                    msg.seqno, single_effect, actx);
       } else if (changed.size() >= 2) {
-        nvram_log_batch(ctx, st, changed, msg.seqno, actx);
+        ctx.wb->log_batch(st, changed, msg.seqno, actx);
+        ctx.stats->nvram_group_commits++;
+        ++ctx.mx_group_commits;
       }
     } else {
       for (std::uint32_t obj : touched_union) {
@@ -1027,7 +855,7 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
       }
     };
     const bool rd = is_read_op(*op_res);
-    traced_cpu(ctx, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
+    traced_cpu(ctx.machine, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
     ctx.last_client_op = ctx.now();
 
     // "if (!majority()) return failure" — Fig. 5.
@@ -1106,19 +934,6 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
   }
 }
 
-void flusher_loop(ServerCtx& ctx) {
-  Storage st(ctx);
-  while (true) {
-    ctx.sim().sleep_for(ctx.opts.flush_idle / 2);
-    if (ctx.nv->empty() && ctx.pending_commit_seqno == 0) continue;
-    const bool full =
-        static_cast<double>(ctx.nv->used_bytes()) >
-        ctx.opts.flush_high_water * static_cast<double>(ctx.nv->capacity());
-    const bool idle = ctx.now() - ctx.last_client_op >= ctx.opts.flush_idle;
-    if (full || idle) flush_all(ctx, st);
-  }
-}
-
 void service_main(Machine& machine, GroupDirOptions opts) {
   int my_index = -1;
   for (std::size_t i = 0; i < opts.dir_servers.size(); ++i) {
@@ -1136,13 +951,30 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   ctx.stats = &stats;
 
   if (ctx.opts.use_nvram) {
-    nvram::NvramConfig nvcfg;
-    nvcfg.capacity_bytes = ctx.opts.nvram_bytes;
-    ctx.nv = &machine.persistent<nvram::Nvram>(
-        "group_dir.nvram", [&machine, nvcfg] {
-          return std::make_unique<nvram::Nvram>(machine.sim(), nvcfg);
+    ctx.wb.emplace(
+        machine,
+        NvramWriteBack::Config{
+            .nvram_bytes = ctx.opts.nvram_bytes,
+            .last_activity = &ctx.last_client_op,
+            .flushes = &stats.flushes,
+            .cancellations = &stats.nvram_cancellations,
+            .mx_flushes = &ctx.mx_flushes,
+            .write_back =
+                [&ctx](Storage& st, std::uint32_t obj) {
+                  if (ctx.state.entry(obj) != nullptr) {
+                    retire(st, persist_object(ctx, st, obj));
+                  } else {
+                    (void)st.disk.write_block(obj, Buffer{});
+                  }
+                },
+            // Fig. 4: a flushed directory deletion advances the commit
+            // block's seqno.
+            .finish =
+                [&ctx](Storage& st, std::uint64_t delete_seqno) {
+                  ctx.cblock.seqno = std::max(ctx.cblock.seqno, delete_seqno);
+                  (void)write_commit_block(ctx, st);
+                },
         });
-    ctx.nv->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
   }
 
   Storage st(ctx);
@@ -1167,8 +999,11 @@ void service_main(Machine& machine, GroupDirOptions opts) {
                   [&ctx, server] { initiator_loop(ctx, *server); });
   }
 
-  if (ctx.nv != nullptr) {
-    machine.spawn("dir.flusher", [&ctx] { flusher_loop(ctx); });
+  if (ctx.wb) {
+    machine.spawn("dir.flusher", [&ctx] {
+      Storage st(ctx);
+      ctx.wb->flusher_loop(st);
+    });
   }
 
   // This process is the group thread (and runs recovery first).

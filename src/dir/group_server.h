@@ -73,10 +73,8 @@ struct GroupDirOptions {
   sim::Duration recovery_backoff = sim::msec(150);
   sim::Duration read_barrier_timeout = sim::msec(1000);
 
-  // NVRAM flushing.
+  // NVRAM size (the flush policy is NvramWriteBack's, dir/persist.h).
   std::size_t nvram_bytes = 24 * 1024;
-  sim::Duration flush_idle = sim::msec(100);  // flush when idle this long
-  double flush_high_water = 0.75;             // or when this full
 
   // Group layer knobs (heartbeat etc.); port/universe/resilience are
   // overwritten from the fields above.

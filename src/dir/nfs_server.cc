@@ -34,17 +34,6 @@ struct NfsCtx {
       : machine(m), opts(std::move(o)), state(opts.dir_port) {}
 };
 
-void traced_cpu(NfsCtx& ctx, sim::Duration d, obs::TraceContext parent) {
-  const sim::Time t0 = ctx.machine.sim().now();
-  ctx.machine.cpu().use(d);
-  if (parent.active()) {
-    obs::Trace& tr = ctx.machine.trace();
-    tr.complete(t0, ctx.machine.sim().now() - t0, "cpu", "use",
-                ctx.machine.id().v, 0, parent.trace, tr.new_span_id(),
-                parent.span, obs::Leg::cpu);
-  }
-}
-
 void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
   obs::Metrics& mx = ctx.machine.metrics();
   obs::Trace& tr = ctx.machine.trace();
@@ -71,7 +60,7 @@ void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       }
     };
     if (is_read_op(*op_res)) {
-      traced_cpu(ctx, ctx.opts.cpu_read, octx);
+      traced_cpu(ctx.machine, ctx.opts.cpu_read, octx);
       Buffer reply = ctx.state.execute_read(req.data);
       ctx.stats->reads++;
       ++mx_reads;
@@ -80,7 +69,7 @@ void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       server.put_reply(req, std::move(reply), octx);
       continue;
     }
-    traced_cpu(ctx, ctx.opts.cpu_write, octx);
+    traced_cpu(ctx.machine, ctx.opts.cpu_write, octx);
     DirState::ApplyEffect effect;
     const std::uint64_t secret = ctx.machine.sim().rng().next();
     Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);

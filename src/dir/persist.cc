@@ -1,12 +1,55 @@
-#include "dir/nvram_log.h"
+#include "dir/persist.h"
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cap/capability.h"
+#include "common/log.h"
 
-namespace amoeba::dir::nvlog {
+namespace amoeba::dir {
+
+Result<cap::Capability> write_copy(DirState& state, Storage& st,
+                                   std::uint32_t obj, const Buffer& contents,
+                                   obs::TraceContext tctx) {
+  auto file = st.bullet.create(contents, tctx);
+  if (!file.is_ok()) return file.status();
+  ObjectEntry* e = state.entry(obj);
+  if (e == nullptr || state.directory(obj) == nullptr) {
+    (void)st.bullet.del(*file);  // orphaned copy of a deleted object
+    return Status::error(Errc::not_found, "object deleted during copy");
+  }
+  return std::exchange(e->bullet, *file);
+}
+
+void retire(Storage& st, const Result<cap::Capability>& old) {
+  if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
+}
+
+nvram::Nvram& nvram_device(net::Machine& m, std::size_t capacity_bytes) {
+  return m.persistent<nvram::Nvram>("dir.nvram", [&m, capacity_bytes] {
+    nvram::NvramConfig cfg;
+    cfg.capacity_bytes = capacity_bytes;
+    return std::make_unique<nvram::Nvram>(m.sim(), cfg);
+  });
+}
+
+namespace nvlog {
+
+Record make_record(const Buffer& request, std::uint64_t secret,
+                   std::uint64_t seqno, const DirState::ApplyEffect& effect) {
+  Record rec;
+  rec.seqno = seqno;
+  rec.secret = secret;
+  rec.request = request;
+  if (auto op = peek_op(request); op.is_ok() && *op == DirOp::create_dir &&
+                                  !effect.touched.empty()) {
+    rec.objhint = effect.touched.front();
+  }
+  return rec;
+}
 
 Buffer encode(const Record& rec) {
   Writer w;
@@ -52,10 +95,10 @@ std::vector<Record> decode_any(const Buffer& b) {
   if (!is_batch(b)) return {decode(b)};
   Reader r(b);
   const std::uint64_t seqno = r.u64() & ~kBatchFlag;
-  const std::uint32_t n = r.u32();
+  const std::size_t n = r.count(8 + 4 + 4);  // secret, objhint, request
   std::vector<Record> out;
   out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Record rec;
     rec.seqno = seqno;
     rec.secret = r.u64();
@@ -77,6 +120,13 @@ std::uint32_t request_target(const Buffer& request) {
   }
 }
 
+std::uint32_t record_target(const Record& rec) {
+  return rec.objhint != 0 ? rec.objhint : request_target(rec.request);
+}
+
+namespace {
+
+/// Row name for row-granularity ops (append/delete/chmod), else empty.
 std::string request_row(const Buffer& request) {
   try {
     Reader r(request);
@@ -92,7 +142,6 @@ std::string request_row(const Buffer& request) {
   }
 }
 
-namespace {
 bool decodes(const Buffer& b) {
   try {
     (void)decode_any(b);
@@ -168,10 +217,9 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
     std::vector<std::uint64_t> to_cancel;
     for (const auto& rec : nv.records()) {
       if (!decodes(rec.data) || is_batch(rec.data)) continue;
-      Record d = decode(rec.data);
-      std::uint32_t target =
-          d.objhint != 0 ? d.objhint : request_target(d.request);
-      if (target == obj) to_cancel.push_back(rec.id);
+      if (record_target(decode(rec.data)) == obj) {
+        to_cancel.push_back(rec.id);
+      }
     }
     for (auto id : to_cancel) nv.cancel(id);
     return to_cancel.size() + 1;
@@ -226,4 +274,111 @@ std::uint64_t max_seqno(const nvram::Nvram& nv) {
   return m;
 }
 
-}  // namespace amoeba::dir::nvlog
+}  // namespace nvlog
+
+NvramWriteBack::NvramWriteBack(net::Machine& m, Config cfg)
+    : machine_(m),
+      cfg_(std::move(cfg)),
+      nv_(nvram_device(m, cfg_.nvram_bytes)),
+      flush_wq_(m.sim()) {
+  nv_.attach_obs(&m.metrics(), &m.trace(), m.id().v);
+}
+
+void NvramWriteBack::note_delete(const Buffer& request, std::uint64_t seqno) {
+  if (!cfg_.finish) return;
+  if (auto op = peek_op(request); op.is_ok() && *op == DirOp::delete_dir) {
+    delete_seqno_ = std::max(delete_seqno_, seqno);
+  }
+}
+
+void NvramWriteBack::append(Storage& st, std::uint64_t tag, Buffer encoded,
+                            obs::TraceContext tctx) {
+  while (!nv_.would_fit(encoded.size())) flush(st);
+  (void)nv_.append(tag, std::move(encoded), tctx);
+}
+
+void NvramWriteBack::log(Storage& st, const Buffer& request,
+                         std::uint64_t secret, std::uint64_t seqno,
+                         const DirState::ApplyEffect& effect,
+                         obs::TraceContext tctx) {
+  const std::size_t cancelled = nvlog::try_cancel(nv_, request, effect);
+  if (cancelled > 0) {
+    *cfg_.cancellations += cancelled;
+    return;
+  }
+  // A logged deletion of an on-disk directory leaves the finish hook an
+  // obligation (the commit-block seqno of Fig. 4).
+  note_delete(request, seqno);
+  const nvlog::Record rec = nvlog::make_record(request, secret, seqno, effect);
+  append(st, nvlog::record_target(rec), nvlog::encode(rec), tctx);
+}
+
+void NvramWriteBack::log_batch(Storage& st,
+                               const std::vector<nvlog::Record>& subs,
+                               std::uint64_t seqno, obs::TraceContext tctx) {
+  for (const auto& rec : subs) note_delete(rec.request, seqno);
+  append(st, nvlog::record_target(subs.front()),
+         nvlog::encode_batch(seqno, subs), tctx);
+}
+
+void NvramWriteBack::flush(Storage& st) {
+  while (flushing_) flush_wq_.wait();
+  if (nv_.empty() && delete_seqno_ == 0) return;
+  flushing_ = true;
+  struct Guard {
+    NvramWriteBack* wb;
+    ~Guard() {
+      wb->flushing_ = false;
+      wb->flush_wq_.notify_all();
+    }
+  } guard{this};
+
+  // Snapshot which objects the log mentions; anything appended during the
+  // disk writes below stays in the log for the next pass.
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint32_t> objs;
+  for (const auto& rec : nv_.records()) {
+    ids.push_back(rec.id);
+    for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
+      const std::uint32_t obj = nvlog::record_target(d);
+      if (obj != 0 && std::find(objs.begin(), objs.end(), obj) == objs.end()) {
+        objs.push_back(obj);
+      }
+    }
+  }
+  for (std::uint32_t obj : objs) cfg_.write_back(st, obj);
+  const std::uint64_t deletes = std::exchange(delete_seqno_, 0);
+  if (cfg_.finish) cfg_.finish(st, deletes);
+  for (std::uint64_t id : ids) (void)nv_.cancel(id);
+  ++*cfg_.flushes;
+  ++*cfg_.mx_flushes;
+}
+
+void NvramWriteBack::clear() {
+  while (!nv_.empty()) nv_.pop_front();
+  delete_seqno_ = 0;
+}
+
+std::uint64_t NvramWriteBack::recover(DirState& state) {
+  const std::size_t torn = nvlog::truncate_torn(nv_);
+  if (torn > 0) {
+    LOG_WARN << machine_.name() << " dropped " << torn
+             << " torn nvram tail record(s)";
+  }
+  nvlog::replay(state, nv_);
+  return nvlog::max_seqno(nv_);
+}
+
+void NvramWriteBack::flusher_loop(Storage& st) {
+  sim::Simulator& sim = machine_.sim();
+  while (true) {
+    sim.sleep_for(kFlushIdle / 2);
+    if (nv_.empty() && delete_seqno_ == 0) continue;
+    const bool full = static_cast<double>(nv_.used_bytes()) >
+                      kFlushHighWater * static_cast<double>(nv_.capacity());
+    const bool idle = sim.now() - *cfg_.last_activity >= kFlushIdle;
+    if (full || idle) flush(st);
+  }
+}
+
+}  // namespace amoeba::dir

@@ -2,14 +2,11 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 
-#include "bullet/bullet.h"
 #include "common/log.h"
-#include "dir/nvram_log.h"
+#include "dir/persist.h"
 #include "dir/proto.h"
-#include "disk/disk_server.h"
-#include "nvram/nvram.h"
-#include "rpc/rpc.h"
 #include "sim/waitq.h"
 
 namespace amoeba::dir {
@@ -21,6 +18,7 @@ using net::MachineId;
 using net::Port;
 
 using PeerOp = RpcPeerOp;
+using nvlog::request_target;
 
 /// The intentions slot is the only raw-partition block the RPC service
 /// uses; directory metadata lives inside the (self-describing) bullet
@@ -52,10 +50,7 @@ struct RpcServerCtx {
   sim::Time last_client_op = 0;
   RpcDirStats* stats = nullptr;
 
-  // NVRAM mode.
-  nvram::Nvram* nv = nullptr;
-  bool flushing = false;
-  sim::WaitQueue flush_wq;
+  std::optional<NvramWriteBack> wb;  // NVRAM mode (use_nvram)
 
   // Hot-path counter handles, interned once at construction so the request
   // loops never hash a metric name.
@@ -75,7 +70,6 @@ struct RpcServerCtx {
         state(opts.dir_port),
         lock_wq(m.sim()),
         lazy_wq(m.sim()),
-        flush_wq(m.sim()),
         mx_reads(m.metrics().counter("dir.rpc", "reads")),
         mx_writes(m.metrics().counter("dir.rpc", "writes")),
         mx_intents(m.metrics().counter("dir.rpc", "intents_received")),
@@ -96,6 +90,25 @@ struct RpcServerCtx {
   void lock_traced(obs::TraceContext parent) {
     const sim::Time t0 = now();
     lock();
+    trace_lock_wait(t0, parent);
+  }
+  /// The peer-request side of the lock (paper Sec. 1), traced like
+  /// lock_traced. Server 0 refuses a conflicting request at once; server 1
+  /// waits a bounded time, which gives server 0's updates priority and
+  /// breaks the symmetric-initiation livelock without deadlock (0's refusal
+  /// unwinds the cycle). Returns false when the lock stayed busy.
+  bool lock_for_peer(obs::TraceContext parent = {}) {
+    const sim::Time t0 = now();
+    const sim::Time deadline = t0 + (my_index == 0 ? 0 : sim::msec(120));
+    while (update_lock) {
+      if (now() >= deadline) return false;
+      lock_wq.wait_until(deadline);
+    }
+    update_lock = true;
+    trace_lock_wait(t0, parent);
+    return true;
+  }
+  void trace_lock_wait(sim::Time t0, obs::TraceContext parent) {
     if (parent.active() && now() > t0) {
       obs::Trace& tr = machine.trace();
       tr.complete(t0, now() - t0, "lock", "update_lock", machine.id().v, 0,
@@ -107,44 +120,16 @@ struct RpcServerCtx {
     update_lock = false;
     lock_wq.notify_all();  // both local initiators and peer-intent handlers
   }
-};
-
-struct Storage {
-  rpc::RpcClient rpc;
-  bullet::BulletClient bullet;
-  disk::DiskClient disk;
-  explicit Storage(RpcServerCtx& ctx)
-      : rpc(ctx.machine),
-        bullet(rpc, ctx.opts.bullet_port),
-        disk(rpc, ctx.opts.disk_port) {}
+  /// Releases the update lock when the holding scope ends.
+  struct Unlock {
+    RpcServerCtx* c;
+    ~Unlock() { c->unlock(); }
+  };
 };
 
 Port admin_port(const RpcServerCtx& ctx, int index) {
   return Port{ctx.opts.admin_port_base.v +
               ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
-
-/// Charge CPU and, when tracing, record the burst as a cpu-leg span under
-/// `parent` (the span covers queueing for the core plus the burst itself).
-void traced_cpu(RpcServerCtx& ctx, sim::Duration d, obs::TraceContext parent) {
-  const sim::Time t0 = ctx.now();
-  ctx.machine.cpu().use(d);
-  if (parent.active()) {
-    obs::Trace& tr = ctx.machine.trace();
-    tr.complete(t0, ctx.now() - t0, "cpu", "use", ctx.machine.id().v, 0,
-                parent.trace, tr.new_span_id(), parent.span, obs::Leg::cpu);
-  }
-}
-
-std::uint32_t request_target_rpc(const Buffer& request) {
-  try {
-    Reader r(request);
-    auto op = static_cast<DirOp>(r.u8());
-    if (op == DirOp::create_dir) return 0;
-    return cap::Capability::decode(r).object;
-  } catch (const DecodeError&) {
-    return 0;
-  }
 }
 
 /// Self-describing on-disk form of a directory: object number, check
@@ -176,103 +161,17 @@ Result<Unwrapped> unwrap_dir(const Buffer& b) {
   }
 }
 
-/// Write this server's disk copy of `obj` (a new bullet file) and record it
-/// in the object table. Returns the superseded file.
-Result<cap::Capability> write_copy(RpcServerCtx& ctx, Storage& st,
-                                   std::uint32_t obj,
-                                   obs::TraceContext tctx = {}) {
+/// Write this server's disk copy of `obj` (a new self-describing bullet
+/// file) and record it in the object table. Returns the superseded file.
+Result<cap::Capability> copy_object(RpcServerCtx& ctx, Storage& st,
+                                    std::uint32_t obj,
+                                    obs::TraceContext tctx = {}) {
   ObjectEntry* e = ctx.state.entry(obj);
   Directory* d = ctx.state.directory(obj);
   if (e == nullptr || d == nullptr) {
     return Status::error(Errc::internal, "copy of unknown object");
   }
-  auto file = st.bullet.create(wrap_dir(obj, e->secret, *d), tctx);
-  if (!file.is_ok()) return file.status();
-  // create() blocked on disk I/O; a concurrent delete may have erased the
-  // object — and freed the map node `e` pointed at — while we slept. Re-look
-  // it up instead of writing through a possibly dangling pointer.
-  e = ctx.state.entry(obj);
-  if (e == nullptr) {
-    (void)st.bullet.del(*file);  // orphaned copy of a deleted object
-    return Status::error(Errc::not_found, "object deleted during copy");
-  }
-  cap::Capability old = e->bullet;
-  e->bullet = *file;
-  return old;
-}
-
-// ------------------------------------------------------------ NVRAM mode
-
-void flush_all_rpc(RpcServerCtx& ctx, Storage& st) {
-  while (ctx.flushing) ctx.flush_wq.wait();
-  if (ctx.nv->empty()) return;
-  ctx.flushing = true;
-  struct Guard {
-    RpcServerCtx* c;
-    ~Guard() {
-      c->flushing = false;
-      c->flush_wq.notify_all();
-    }
-  } guard{&ctx};
-
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> objs;
-  for (const auto& rec : ctx.nv->records()) {
-    ids.push_back(rec.id);
-    nvlog::Record d = nvlog::decode(rec.data);
-    std::uint32_t obj =
-        d.objhint != 0 ? d.objhint : nvlog::request_target(d.request);
-    if (obj != 0 && std::find(objs.begin(), objs.end(), obj) == objs.end()) {
-      objs.push_back(obj);
-    }
-  }
-  for (std::uint32_t obj : objs) {
-    if (ctx.state.entry(obj) == nullptr) continue;  // deleted meanwhile
-    auto old = write_copy(ctx, st, obj);
-    if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
-  }
-  for (std::uint64_t id : ids) (void)ctx.nv->cancel(id);
-  ctx.stats->flushes++;
-  ++ctx.mx_flushes;
-}
-
-/// Log an update in NVRAM (both as the peer's intentions record and as the
-/// initiator's deferred local copy). Applies the Sec. 4.1 cancellation.
-void rpc_nvram_log(RpcServerCtx& ctx, Storage& st, const Buffer& request,
-                   std::uint64_t secret, std::uint64_t seqno,
-                   const DirState::ApplyEffect& effect,
-                   obs::TraceContext tctx = {}) {
-  const std::size_t cancelled = nvlog::try_cancel(*ctx.nv, request, effect);
-  if (cancelled > 0) {
-    ctx.stats->nvram_cancellations += cancelled;
-    return;
-  }
-  nvlog::Record rec;
-  rec.seqno = seqno;
-  rec.secret = secret;
-  rec.request = request;
-  auto op = peek_op(request);
-  if (op.is_ok() && *op == DirOp::create_dir && !effect.touched.empty()) {
-    rec.objhint = effect.touched.front();
-  }
-  Buffer encoded = nvlog::encode(rec);
-  while (!ctx.nv->would_fit(encoded.size())) flush_all_rpc(ctx, st);
-  (void)ctx.nv->append(
-      rec.objhint != 0 ? rec.objhint : nvlog::request_target(request),
-      std::move(encoded), tctx);
-}
-
-void flusher_loop_rpc(RpcServerCtx& ctx) {
-  Storage st(ctx);
-  while (true) {
-    ctx.sim().sleep_for(ctx.opts.flush_idle / 2);
-    if (ctx.nv->empty()) continue;
-    const bool full =
-        static_cast<double>(ctx.nv->used_bytes()) >
-        ctx.opts.flush_high_water * static_cast<double>(ctx.nv->capacity());
-    const bool idle = ctx.now() - ctx.last_client_op >= ctx.opts.flush_idle;
-    if (full || idle) flush_all_rpc(ctx, st);
-  }
+  return write_copy(ctx.state, st, obj, wrap_dir(obj, e->secret, *d), tctx);
 }
 
 // ------------------------------------------------------------ lazy worker
@@ -290,8 +189,7 @@ void lazy_loop(RpcServerCtx& ctx) {
         return t.obj == task.obj;
       });
       if (ctx.state.entry(task.obj) != nullptr) {
-        auto old = write_copy(ctx, st, task.obj);
-        if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
+        retire(st, copy_object(ctx, st, task.obj));
       }
     }
     if (!task.obsolete.is_null()) (void)st.bullet.del(task.obsolete);
@@ -328,30 +226,13 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
           }
           return reply;
         };
-        // Busy performing a conflicting operation (paper Sec. 1). Server 0
-        // refuses immediately; server 1 waits a bounded time, which gives
-        // server 0's updates priority and breaks the symmetric-initiation
-        // livelock without deadlock (0's refusal unwinds the cycle).
-        const sim::Time lock_deadline =
-            ctx.now() + (ctx.my_index == 0 ? 0 : sim::msec(120));
-        while (ctx.update_lock) {
-          if (ctx.now() >= lock_deadline) {
-            ctx.stats->conflicts++;
-            ++ctx.mx_conflicts;
-            return close(reply_error(Errc::refused));
-          }
-          ctx.lock_wq.wait_until(lock_deadline);
+        // Busy performing a conflicting operation (paper Sec. 1).
+        if (!ctx.lock_for_peer(ictx)) {
+          ctx.stats->conflicts++;
+          ++ctx.mx_conflicts;
+          return close(reply_error(Errc::refused));
         }
-        ctx.update_lock = true;
-        if (sp != 0 && ctx.now() > t0) {
-          tr.complete(t0, ctx.now() - t0, "lock", "update_lock",
-                      ctx.machine.id().v, 0, ictx.trace, tr.new_span_id(), sp,
-                      obs::Leg::lock_wait);
-        }
-        struct Unlock {
-          RpcServerCtx* c;
-          ~Unlock() { c->unlock(); }
-        } unlock{&ctx};
+        const RpcServerCtx::Unlock unlock{&ctx};
         ctx.peer_down = false;  // peer traffic proves the peer is alive
         if (seqno != ctx.last_seqno + 1) {
           // We missed updates (we restarted, or the initiator wrote while we
@@ -361,10 +242,10 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         }
         ctx.stats->intents_received++;
         ++ctx.mx_intents;
-        traced_cpu(ctx, ctx.opts.cpu_apply, ictx);
+        traced_cpu(ctx.machine, ctx.opts.cpu_apply, ictx);
         // Store the intentions (update + new seqno) durably, then apply to
         // the RAM state; the disk copy of the directory follows lazily.
-        if (ctx.nv == nullptr) {
+        if (!ctx.wb) {
           Writer iw;
           iw.u64(seqno);
           iw.u64(secret);
@@ -375,17 +256,16 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         cap::Capability obsolete = cap::kNullCap;
         if (auto pop = peek_op(dir_request);
             pop.is_ok() && *pop == DirOp::delete_dir) {
-          if (ObjectEntry* e =
-                  ctx.state.entry(request_target_rpc(dir_request))) {
+          if (ObjectEntry* e = ctx.state.entry(request_target(dir_request))) {
             obsolete = e->bullet;
           }
         }
         DirState::ApplyEffect effect;
         (void)ctx.state.apply(dir_request, secret, seqno, &effect);
         ctx.last_seqno = std::max(ctx.last_seqno, seqno);
-        if (ctx.nv != nullptr) {
+        if (ctx.wb) {
           // NVRAM intentions double as the deferred local copy.
-          rpc_nvram_log(ctx, st, dir_request, secret, seqno, effect, ictx);
+          ctx.wb->log(st, dir_request, secret, seqno, effect, ictx);
           if (!obsolete.is_null()) (void)st.bullet.del(obsolete);
           return close(reply_ok());
         }
@@ -406,17 +286,8 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
       case PeerOp::push_state: {
         const std::uint64_t seqno = r.u64();
         Buffer snap = r.bytes();
-        const sim::Time lock_deadline =
-            ctx.now() + (ctx.my_index == 0 ? 0 : sim::msec(120));
-        while (ctx.update_lock) {
-          if (ctx.now() >= lock_deadline) return reply_error(Errc::refused);
-          ctx.lock_wq.wait_until(lock_deadline);
-        }
-        ctx.update_lock = true;
-        struct Unlock {
-          RpcServerCtx* c;
-          ~Unlock() { c->unlock(); }
-        } unlock{&ctx};
+        if (!ctx.lock_for_peer()) return reply_error(Errc::refused);
+        const RpcServerCtx::Unlock unlock{&ctx};
         // The pushing peer is alive and, once this exchange completes, up to
         // date — so updates must re-engage it via intents from here on.
         // Clearing the flag under the lock closes the stale-read window a
@@ -463,7 +334,7 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
       }
     };
     const bool rd = is_read_op(*op_res);
-    traced_cpu(ctx, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
+    traced_cpu(ctx.machine, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
     ctx.last_client_op = ctx.now();
 
     if (rd) {
@@ -533,20 +404,19 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
       // Peer committed the intentions: perform the update.
       cap::Capability deleted_file = cap::kNullCap;
       if (*op_res == DirOp::delete_dir) {
-        if (ObjectEntry* e = ctx.state.entry(request_target_rpc(req.data))) {
+        if (ObjectEntry* e = ctx.state.entry(request_target(req.data))) {
           deleted_file = e->bullet;
         }
       }
       DirState::ApplyEffect effect;
       reply = ctx.state.apply(req.data, secret, seqno, &effect);
       ctx.last_seqno = seqno;
-      if (ctx.nv != nullptr) {
+      if (ctx.wb) {
         // Local copy deferred: the NVRAM record is the durability.
-        rpc_nvram_log(ctx, st, req.data, secret, seqno, effect, octx);
+        ctx.wb->log(st, req.data, secret, seqno, effect, octx);
       } else {
         for (std::uint32_t obj : effect.touched) {
-          auto old = write_copy(ctx, st, obj, octx);
-          if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
+          retire(st, copy_object(ctx, st, obj, octx));
         }
       }
       if (!deleted_file.is_null()) (void)st.bullet.del(deleted_file);
@@ -574,11 +444,9 @@ void install_snapshot(RpcServerCtx& ctx, Storage& st, const Buffer& snap,
   }
   ctx.state = DirState::from_snapshot(snap, ctx.opts.dir_port);
   ctx.last_seqno = peer_seqno;
-  if (ctx.nv != nullptr) {
-    while (!ctx.nv->empty()) ctx.nv->pop_front();  // superseded by snapshot
-  }
+  if (ctx.wb) ctx.wb->clear();  // superseded by the snapshot
   for (const auto& [obj, e] : ctx.state.table()) {
-    (void)write_copy(ctx, st, obj);
+    (void)copy_object(ctx, st, obj);
   }
   ctx.stats->resyncs++;
   ctx.machine.metrics().counter("dir.rpc", "resyncs")++;
@@ -632,17 +500,10 @@ void load_and_resync(RpcServerCtx& ctx, Storage& st) {
   }
   ctx.last_seqno = ctx.state.max_dir_seqno();
 
-  if (ctx.nv != nullptr) {
+  if (ctx.wb) {
     // NVRAM mode: the log holds both our deferred copies and any acked
-    // intentions; replay it on top of the disk state. A crash mid-append
-    // leaves a torn tail record; drop it before replay.
-    const std::size_t torn = nvlog::truncate_torn(*ctx.nv);
-    if (torn > 0) {
-      LOG_WARN << ctx.machine.name() << " dropped " << torn
-               << " torn nvram tail record(s)";
-    }
-    nvlog::replay(ctx.state, *ctx.nv);
-    ctx.last_seqno = std::max(ctx.last_seqno, nvlog::max_seqno(*ctx.nv));
+    // intentions; replay it on top of the disk state.
+    ctx.last_seqno = std::max(ctx.last_seqno, ctx.wb->recover(ctx.state));
   }
 
   // Replay a pending intention (we may have crashed after acking it).
@@ -658,8 +519,7 @@ void load_and_resync(RpcServerCtx& ctx, Storage& st) {
         (void)ctx.state.apply(dir_request, secret, seqno, &effect);
         ctx.last_seqno = seqno;
         for (std::uint32_t obj : effect.touched) {
-          auto old = write_copy(ctx, st, obj);
-          if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
+          retire(st, copy_object(ctx, st, obj));
         }
       }
     } catch (const DecodeError&) {
@@ -703,13 +563,23 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   ctx.stats = &stats;
 
   if (ctx.opts.use_nvram) {
-    nvram::NvramConfig nvcfg;
-    nvcfg.capacity_bytes = ctx.opts.nvram_bytes;
-    ctx.nv = &machine.persistent<nvram::Nvram>(
-        "rpc_dir.nvram", [&machine, nvcfg] {
-          return std::make_unique<nvram::Nvram>(machine.sim(), nvcfg);
+    ctx.wb.emplace(
+        machine,
+        NvramWriteBack::Config{
+            .nvram_bytes = ctx.opts.nvram_bytes,
+            .last_activity = &ctx.last_client_op,
+            .flushes = &stats.flushes,
+            .cancellations = &stats.nvram_cancellations,
+            .mx_flushes = &ctx.mx_flushes,
+            // A deleted object needs nothing: its file was retired with
+            // the delete.
+            .write_back =
+                [&ctx](Storage& st, std::uint32_t obj) {
+                  if (ctx.state.entry(obj) != nullptr) {
+                    retire(st, copy_object(ctx, st, obj));
+                  }
+                },
         });
-    ctx.nv->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
   }
 
   // Peer-facing service (intent / resync) comes up before the boot resync:
@@ -730,8 +600,11 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   load_and_resync(ctx, st);
 
   machine.spawn("rdir.lazy", [&ctx] { lazy_loop(ctx); });
-  if (ctx.nv != nullptr) {
-    machine.spawn("rdir.flusher", [&ctx] { flusher_loop_rpc(ctx); });
+  if (ctx.wb) {
+    machine.spawn("rdir.flusher", [&ctx] {
+      Storage st(ctx);
+      ctx.wb->flusher_loop(st);
+    });
   }
 
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);

@@ -46,8 +46,6 @@ struct RpcDirOptions {
   /// NVRAM log; a background flusher writes the disk copies.
   bool use_nvram = false;
   std::size_t nvram_bytes = 24 * 1024;
-  sim::Duration flush_idle = sim::msec(100);
-  double flush_high_water = 0.75;
 };
 
 /// Peer protocol served on `admin_port_base + machine id` (exposed so tests

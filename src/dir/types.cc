@@ -30,17 +30,18 @@ void Directory::encode(Writer& w) const {
 
 Directory Directory::decode(Reader& r) {
   Directory d;
-  const std::uint16_t ncols = r.u16();
+  const std::size_t ncols = r.count<std::uint16_t>(4);  // str
   d.columns.reserve(ncols);
-  for (std::uint16_t i = 0; i < ncols; ++i) d.columns.push_back(r.str());
-  const std::uint32_t nrows = r.u32();
+  for (std::size_t i = 0; i < ncols; ++i) d.columns.push_back(r.str());
+  const std::size_t nrows = r.count(4 + 2);  // name str, column count
   d.rows.reserve(nrows);
-  for (std::uint32_t i = 0; i < nrows; ++i) {
+  for (std::size_t i = 0; i < nrows; ++i) {
     DirRow row;
     row.name = r.str();
-    const std::uint16_t nc = r.u16();
+    const std::size_t nc =
+        r.count<std::uint16_t>(cap::Capability::kEncodedBytes);
     row.cols.reserve(nc);
-    for (std::uint16_t k = 0; k < nc; ++k) {
+    for (std::size_t k = 0; k < nc; ++k) {
       row.cols.push_back(cap::Capability::decode(r));
     }
     d.rows.push_back(std::move(row));

@@ -79,13 +79,18 @@ Result<std::vector<std::pair<std::uint32_t, Buffer>>> DiskClient::scan(
   w.u32(hi);
   auto res = rpc_.trans(port_, w.take(), {}, ctx);
   if (!res.is_ok()) return res.status();
-  Reader r(*res);
+  return decode_scan(*res);
+}
+
+Result<std::vector<std::pair<std::uint32_t, Buffer>>> DiskClient::decode_scan(
+    const Buffer& reply) {
+  Reader r(reply);
   auto code = static_cast<Errc>(r.u8());
   if (code != Errc::ok) return Status::error(code, "remote scan failed");
-  const std::uint32_t n = r.u32();
+  const std::size_t n = r.count(4 + 4);  // block, data
   std::vector<std::pair<std::uint32_t, Buffer>> out;
   out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t b = r.u32();
     out.emplace_back(b, r.bytes());
   }

@@ -45,6 +45,9 @@ class DiskClient {
   /// Sequential scan of [lo, hi): non-empty blocks with their contents.
   Result<std::vector<std::pair<std::uint32_t, Buffer>>> scan(
       std::uint32_t lo, std::uint32_t hi, obs::TraceContext ctx = {});
+  /// The reply half of scan(). Throws DecodeError on malformed bytes.
+  static Result<std::vector<std::pair<std::uint32_t, Buffer>>> decode_scan(
+      const Buffer& reply);
 
  private:
   rpc::RpcClient& rpc_;

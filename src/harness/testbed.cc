@@ -2,6 +2,7 @@
 
 #include "bullet/bullet.h"
 #include "disk/disk_server.h"
+#include "dir/persist.h"
 #include "dir/proto.h"
 
 namespace amoeba::harness {
@@ -164,16 +165,11 @@ disk::VirtualDisk& Testbed::vdisk(int i) {
 }
 
 nvram::Nvram* Testbed::nvram_of(int i) {
-  const char* key = nullptr;
-  if (opts_.flavor == Flavor::group_nvram) key = "group_dir.nvram";
-  if (opts_.flavor == Flavor::rpc_nvram) key = "rpc_dir.nvram";
-  if (key == nullptr) return nullptr;
-  net::Machine& m = dir_server(i);
-  nvram::NvramConfig nvcfg;
-  nvcfg.capacity_bytes = opts_.nvram_bytes;
-  return &m.persistent<nvram::Nvram>(key, [&m, nvcfg] {
-    return std::make_unique<nvram::Nvram>(m.sim(), nvcfg);
-  });
+  if (opts_.flavor != Flavor::group_nvram &&
+      opts_.flavor != Flavor::rpc_nvram) {
+    return nullptr;
+  }
+  return &dir::nvram_device(dir_server(i), opts_.nvram_bytes);
 }
 
 net::Port Testbed::admin_port(int i) const {

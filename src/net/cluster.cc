@@ -131,4 +131,14 @@ std::vector<MachineId> Cluster::machine_ids() const {
   return ids;
 }
 
+void traced_cpu(Machine& m, sim::Duration d, obs::TraceContext parent) {
+  const sim::Time t0 = m.sim().now();
+  m.cpu().use(d);
+  if (parent.active()) {
+    obs::Trace& tr = m.trace();
+    tr.complete(t0, m.sim().now() - t0, "cpu", "use", m.id().v, 0,
+                parent.trace, tr.new_span_id(), parent.span, obs::Leg::cpu);
+  }
+}
+
 }  // namespace amoeba::net

@@ -142,6 +142,11 @@ class Machine {
   std::unordered_map<std::string, std::shared_ptr<void>> devices_;
 };
 
+/// Charge `d` of `m`'s CPU and, when tracing, record the burst as a
+/// cpu-leg span under `parent` (the span covers queueing for the core plus
+/// the burst itself).
+void traced_cpu(Machine& m, sim::Duration d, obs::TraceContext parent);
+
 class Cluster {
  public:
   explicit Cluster(sim::Simulator& sim, NetConfig cfg = {});

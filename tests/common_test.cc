@@ -2,6 +2,7 @@
 
 #include "common/buffer.h"
 #include "common/log.h"
+#include "common/pool.h"
 #include "common/rand.h"
 #include "common/status.h"
 
@@ -111,6 +112,26 @@ TEST(BufferTest, TrailingBytesDetected) {
   EXPECT_THROW(r.expect_done(), DecodeError);
 }
 
+TEST(BufferTest, CountChecksAgainstRemainingBytes) {
+  Writer w;
+  w.u32(3);
+  w.u16(0xffff);
+  for (int i = 0; i < 3; ++i) w.u32(7);
+  {
+    Reader r(w.view());
+    EXPECT_EQ(r.count(4), 3u);  // three u32s fit in the 14 bytes left
+  }
+  {
+    Reader r(w.view());
+    EXPECT_THROW((void)r.count(5), DecodeError);  // 3 x 5 > 14
+  }
+  {
+    Reader r(w.view());
+    (void)r.u32();
+    EXPECT_THROW((void)r.count<std::uint16_t>(1), DecodeError);  // 65535 > 12
+  }
+}
+
 TEST(BufferTest, RestConsumesRemainder) {
   Writer w;
   w.u8(9);
@@ -120,6 +141,22 @@ TEST(BufferTest, RestConsumesRemainder) {
   r.u8();
   EXPECT_EQ(to_string(r.rest()), "tail");
   EXPECT_TRUE(r.done());
+}
+
+TEST(PoolTest, EverySizeMapsToTheSmallestFittingClass) {
+  // An exact power of two must land in its own class: rounding it up one
+  // class wastes half of every chunk, and for kMaxClass indexes past the
+  // freelist array.
+  using namespace pool_detail;
+  for (std::size_t bytes = 1; bytes <= kMaxClass; ++bytes) {
+    const std::size_t idx = class_index(bytes);
+    ASSERT_LT(idx, kNumClasses) << "bytes=" << bytes;
+    const std::size_t size = class_size(idx);
+    EXPECT_GE(size, bytes) << "bytes=" << bytes;
+    if (bytes > kMinClass) {
+      EXPECT_LT(size, 2 * bytes) << "bytes=" << bytes;
+    }
+  }
 }
 
 TEST(PrngTest, DeterministicForSeed) {

@@ -25,7 +25,7 @@
 #include "check/nemesis.h"
 #include "check/simfuzz.h"
 #include "dir/client.h"
-#include "dir/nvram_log.h"
+#include "dir/persist.h"
 #include "harness/testbed.h"
 
 namespace amoeba::harness {

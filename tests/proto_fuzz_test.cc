@@ -3,14 +3,20 @@
 // corrupted or random buffer may do worse than a clean rejection — a
 // bad_request reply from the request decoders, a DecodeError from the
 // state codecs — because servers feed network bytes straight into them.
+// The same holds for the other length-prefixed decoders a server feeds
+// untrusted bytes: NVRAM log records read back at boot, and the disk scan
+// and Bullet list replies read at boot.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "bullet/bullet.h"
 #include "common/rand.h"
+#include "dir/persist.h"
 #include "dir/proto.h"
 #include "dir/types.h"
+#include "disk/disk_server.h"
 
 namespace amoeba::dir {
 namespace {
@@ -231,6 +237,93 @@ TEST(ProtoFuzz, EmptyAndUnknownOpsAreBadRequests) {
     EXPECT_EQ(reply_status(reply).code(), Errc::bad_request) << int(op);
     EXPECT_FALSE(eff.any_change);
   }
+}
+
+/// Feed `decode` many mangled copies of `clean`: random bit flips, and
+/// 0xff written over every 2- and 4-byte window, so each count field is hit
+/// with a huge value. `decode` may return or throw DecodeError — anything
+/// else (std::bad_alloc from reserving an unchecked count, say) escapes
+/// and fails the test.
+template <typename Decode>
+void fuzz_decoder(const Buffer& clean, Decode decode) {
+  std::vector<Buffer> variants;
+  for (std::size_t width : {2, 4}) {
+    for (std::size_t at = 0; at + width <= clean.size(); ++at) {
+      Buffer b = clean;
+      for (std::size_t k = 0; k < width; ++k) b[at + k] = 0xff;
+      variants.push_back(std::move(b));
+    }
+  }
+  Prng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    Buffer b = clean;
+    const int flips = 1 + static_cast<int>(rng.below(6));
+    for (int i = 0; i < flips; ++i) {
+      b[rng.below(b.size())] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+    }
+    variants.push_back(std::move(b));
+  }
+  for (const Buffer& b : variants) {
+    try {
+      decode(b);
+    } catch (const DecodeError&) {
+    }
+  }
+}
+
+TEST(ProtoFuzz, SnapshotCountFieldsAreChecked) {
+  Fixture f;
+  fuzz_decoder(f.st.snapshot(), [](const Buffer& b) {
+    (void)DirState::from_snapshot(b, kPort).snapshot();
+  });
+}
+
+TEST(ProtoFuzz, NvramBatchRecordsNeverCrash) {
+  Fixture f;
+  std::vector<nvlog::Record> subs;
+  for (const Buffer& req : all_requests(f)) {
+    nvlog::Record rec;
+    rec.secret = 5;
+    rec.objhint = 2;
+    rec.request = req;
+    subs.push_back(std::move(rec));
+  }
+  const Buffer batch = nvlog::encode_batch(9, subs);
+  ASSERT_EQ(nvlog::decode_any(batch).size(), subs.size());
+  fuzz_decoder(batch, [](const Buffer& b) { (void)nvlog::decode_any(b); });
+}
+
+TEST(ProtoFuzz, DiskScanRepliesNeverCrash) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(Errc::ok));
+  w.u32(3);
+  for (std::uint32_t block = 1; block <= 3; ++block) {
+    w.u32(block);
+    w.bytes(to_buffer("block contents " + std::to_string(block)));
+  }
+  const Buffer reply = w.take();
+  auto clean = disk::DiskClient::decode_scan(reply);
+  ASSERT_TRUE(clean.is_ok());
+  EXPECT_EQ(clean->size(), 3u);
+  fuzz_decoder(reply,
+               [](const Buffer& b) { (void)disk::DiskClient::decode_scan(b); });
+}
+
+TEST(ProtoFuzz, BulletListRepliesNeverCrash) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(Errc::ok));
+  w.u32(3);
+  for (std::uint32_t obj = 1; obj <= 3; ++obj) {
+    some_cap(obj).encode(w);
+    w.bytes(to_buffer("file " + std::to_string(obj)));
+  }
+  const Buffer reply = w.take();
+  auto clean = bullet::BulletClient::decode_list(reply);
+  ASSERT_TRUE(clean.is_ok());
+  EXPECT_EQ(clean->size(), 3u);
+  fuzz_decoder(reply, [](const Buffer& b) {
+    (void)bullet::BulletClient::decode_list(b);
+  });
 }
 
 }  // namespace

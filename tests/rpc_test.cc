@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "harness/testbed.h"
+#include "harness/workload.h"
 #include "rpc/rpc.h"
 
 namespace amoeba::rpc {
@@ -257,3 +259,31 @@ TEST_F(RpcFixture, RepliesOutliveStaleXids) {
 
 }  // namespace
 }  // namespace amoeba::rpc
+
+// Sustained append-only load once crashed both RPC directory flavors
+// within seconds of simulated time: a pooled allocation of exactly 4096
+// bytes, the largest pool size class, indexed past the pool's freelist
+// array and corrupted memory (see PoolTest in common_test).
+namespace amoeba::harness {
+namespace {
+
+void expect_append_load_survives(Flavor flavor) {
+  Testbed bed({.flavor = flavor, .clients = 1, .seed = 1});
+  ASSERT_TRUE(bed.wait_ready());
+  const ThroughputResult r =
+      append_throughput(bed, sim::sec(1), sim::sec(20));
+  ASSERT_TRUE(r.ok);
+  EXPECT_GT(r.completed, 100u);
+  EXPECT_EQ(r.failed, 0u);
+}
+
+TEST(RpcDirAppendLoad, RpcSurvivesSustainedAppends) {
+  expect_append_load_survives(Flavor::rpc);
+}
+
+TEST(RpcDirAppendLoad, RpcNvramSurvivesSustainedAppends) {
+  expect_append_load_survives(Flavor::rpc_nvram);
+}
+
+}  // namespace
+}  // namespace amoeba::harness
