@@ -55,11 +55,7 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
     if (leases) dc.enable_leases();
-    auto hot = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !hot.is_ok(); ++i) {
-      sim.sleep_for(sim::msec(100));
-      hot = dc.create_dir({"c"});
-    }
+    const auto hot = harness::make_dir_retry(dc, sim, {"c"});
     if (!hot.is_ok()) return;
     auto scratch = dc.create_dir({"c"});
     if (!scratch.is_ok()) return;

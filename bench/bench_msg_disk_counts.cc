@@ -83,14 +83,10 @@ DiskPerOp disk_writes_per_update(harness::Flavor f) {
   cm.spawn("setup", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
+    const auto res = harness::make_dir_retry(dc, bed.sim(), {"c"}, 50);
+    if (res.is_ok()) {
+      dcap = *res;
+      ready = true;
     }
   });
   bed.sim().run_for(sim::sec(10));

@@ -14,6 +14,7 @@
 
 #include "dir/client.h"
 #include "harness/testbed.h"
+#include "harness/workload.h"
 
 using namespace amoeba;
 
@@ -45,14 +46,10 @@ int main() {
   cm.spawn("setup", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ok; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        home = *res;
-        ok = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
+    const auto res = harness::make_dir_retry(dc, bed.sim(), {"c"}, 50);
+    if (res.is_ok()) {
+      home = *res;
+      ok = true;
     }
   });
   bed.sim().run_for(sim::sec(8));

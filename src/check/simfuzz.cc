@@ -8,11 +8,11 @@
 #include <string_view>
 #include <utility>
 
+#include "check/client_driver.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "dir/rpc_server.h"
 #include "harness/testbed.h"
-#include "harness/workload.h"
 #include "obs/json.h"
 
 namespace amoeba::check {
@@ -62,43 +62,6 @@ void dump_artifacts(const FuzzOptions& opts, Testbed& bed,
   root.set("counters", std::move(counters));
   write_file(opts.dump_prefix + ".metrics.json", root.dump());
 }
-/// Replica state reduced to what must agree across replicas: object
-/// identity, secrets, seqnos and row layout. Bullet capabilities are
-/// excluded — each replica legitimately stores its copies under different
-/// file capabilities.
-struct Semantic {
-  struct Obj {
-    std::uint64_t secret = 0;
-    std::uint64_t seqno = 0;
-    std::vector<std::pair<std::string, std::size_t>> rows;  // name, #cols
-    bool operator==(const Obj&) const = default;
-  };
-  std::map<std::uint32_t, Obj> objs;
-  bool operator==(const Semantic&) const = default;
-
-  static Result<Semantic> from_snapshot(const Buffer& snap, net::Port port) {
-    try {
-      Semantic out;
-      dir::DirState st = dir::DirState::from_snapshot(snap, port);
-      for (const auto& [objnum, entry] : st.table()) {
-        Obj o;
-        o.secret = entry.secret;
-        o.seqno = entry.seqno;
-        if (const dir::Directory* d = st.directory(objnum)) {
-          for (const auto& row : d->rows) {
-            o.rows.emplace_back(row.name, row.cols.size());
-          }
-        }
-        out.objs[objnum] = std::move(o);
-      }
-      return out;
-    } catch (const DecodeError& e) {
-      return Status::error(Errc::bad_request,
-                           std::string("corrupt snapshot: ") + e.what());
-    }
-  }
-};
-
 /// The watchdog's structured explanation of a livelocked run: when did
 /// progress stop, what does the availability timeline's last populated
 /// window look like, what state is every server in, and which causal
@@ -193,7 +156,31 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
   return root.dump();
 }
 
-/// Fetch one replica's raw state snapshot over its admin/peer port.
+}  // namespace
+
+Result<ReplicaState> ReplicaState::from_snapshot(const Buffer& snap,
+                                                 net::Port port) {
+  try {
+    ReplicaState out;
+    dir::DirState st = dir::DirState::from_snapshot(snap, port);
+    for (const auto& [objnum, entry] : st.table()) {
+      Obj o;
+      o.secret = entry.secret;
+      o.seqno = entry.seqno;
+      if (const dir::Directory* d = st.directory(objnum)) {
+        for (const auto& row : d->rows) {
+          o.rows.emplace_back(row.name, row.cols.size());
+        }
+      }
+      out.objs[objnum] = std::move(o);
+    }
+    return out;
+  } catch (const DecodeError& e) {
+    return Status::error(Errc::bad_request,
+                         std::string("corrupt snapshot: ") + e.what());
+  }
+}
+
 Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
   Writer w;
   if (is_group(bed.options().flavor)) {
@@ -219,8 +206,6 @@ Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
     return Status::error(Errc::bad_request, "corrupt fetch reply");
   }
 }
-
-}  // namespace
 
 std::uint64_t fnv1a(const Buffer& b, std::uint64_t h) {
   for (std::uint8_t byte : b) {
@@ -255,15 +240,19 @@ FuzzReport run_one(const FuzzOptions& opts) {
   // Locals referenced by simulated processes are declared before the
   // Testbed, so they are still alive when its destructor unwinds them.
   History history;
-  cap::Capability home;
-  bool setup_ok = false;
-  bool stop = false;
-  const int nclients = std::max(1, opts.clients);
-  std::vector<char> done(static_cast<std::size_t>(nclients), 0);
+  ClientDriver driver({.mix = {{DriverOp::append, 34},
+                               {DriverOp::remove, 58},
+                               {DriverOp::lookup, 86},
+                               {DriverOp::list, 94},
+                               {DriverOp::scratch, 100}},
+                       .keys = opts.keys,
+                       .zipf = opts.zipf,
+                       .max_think = sim::msec(30),
+                       .history = &history});
 
   harness::TestbedOptions to;
   to.flavor = opts.flavor;
-  to.clients = nclients;
+  to.clients = std::max(1, opts.clients);
   to.seed = opts.seed;
   // Recovery-mode toggle: odd seeds exercise Sec. 3.2's improved recovery.
   to.improved_recovery = (opts.seed % 2) == 1;
@@ -290,78 +279,15 @@ FuzzReport run_one(const FuzzOptions& opts) {
     return report;
   }
 
-  for (int c = 0; c < nclients; ++c) {
-    bed.client(c).spawn("fuzz" + std::to_string(c), [&, c] {
-      net::Machine& m = bed.client(c);
-      rpc::RpcClient rpc(m);
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (to.lease_caching) dc.enable_leases();
-      RecordingDirClient rec(dc, history, c);
-      auto& rng = m.sim().rng();
-      const harness::ZipfPicker zipf(std::max(1, opts.keys), opts.zipf);
-
-      if (c == 0) {
-        for (int i = 0; i < 200 && !setup_ok && !stop; ++i) {
-          auto res = rec.create_dir({"c"});
-          if (res.is_ok()) {
-            home = *res;
-            setup_ok = true;
-            break;
-          }
-          rpc.flush_port_cache(bed.dir_port());
-          m.sim().sleep_for(sim::msec(200));
-        }
-      } else {
-        while (!setup_ok && !stop) m.sim().sleep_for(sim::msec(50));
-      }
-
-      while (!stop && setup_ok) {
-        // Rows always carry exactly one capability column: DirClient::lookup
-        // reports a present-but-empty row as not_found, which would look
-        // like a false absence to the checker.
-        const std::string key =
-            "k" + std::to_string(
-                      opts.zipf > 0
-                          ? zipf.pick(rng)
-                          : static_cast<int>(rng.below(static_cast<std::uint64_t>(
-                                std::max(1, opts.keys)))));
-        const std::uint64_t pick = rng.below(100);
-        bool failed = false;
-        if (pick < 34) {
-          failed = !rec.append_row(home, key, {home}).is_ok();
-        } else if (pick < 58) {
-          failed = !rec.delete_row(home, key).is_ok();
-        } else if (pick < 86) {
-          failed = !rec.lookup(home, key).is_ok();
-        } else if (pick < 94) {
-          failed = !rec.list_dir(home).is_ok();
-        } else {
-          // Scratch-directory cycle with a client-private row name; rows are
-          // deleted before the directory so a later reuse of the object
-          // number cannot orphan a "present" register.
-          auto cd = rec.create_dir({"c"});
-          if (cd.is_ok()) {
-            const std::string nm = "s" + std::to_string(c);
-            (void)rec.append_row(*cd, nm, {home});
-            (void)rec.lookup(*cd, nm);
-            (void)rec.delete_row(*cd, nm);
-            (void)rec.delete_dir(*cd);
-          } else {
-            failed = true;
-          }
-        }
-        if (failed) rpc.flush_port_cache(bed.dir_port());
-        m.sim().sleep_for(static_cast<sim::Duration>(rng.below(30'000)));
-      }
-      done[static_cast<std::size_t>(c)] = 1;
-    });
-  }
+  driver.start(bed);
 
   // Warmup: let the workload flow against a healthy cluster first.
   sim.run_for(sim::sec(2));
-  for (int i = 0; i < 200 && !setup_ok; ++i) sim.run_for(sim::msec(100));
-  if (!setup_ok) {
-    stop = true;
+  for (int i = 0; i < 200 && !driver.setup_ok(); ++i) {
+    sim.run_for(sim::msec(100));
+  }
+  if (!driver.setup_ok()) {
+    driver.stop();
     sim.run_for(sim::sec(5));
     report.failure = "workload setup never succeeded";
     dump_artifacts(opts, bed);
@@ -407,7 +333,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
   // Quiesce: stop clients, repair everything, wait out recovery. Replica
   // agreement is only meaningful once no operation is in flight.
-  stop = true;
+  driver.stop();
   bed.cluster().heal();
   bed.cluster().net().set_drop_prob(bed.options().drop_prob);
   bed.cluster().net().set_dup_prob(0.0);
@@ -427,9 +353,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
     bed.dir_server(i).cpu().set_drag(1.0);
     if (!bed.dir_server(i).up()) bed.cluster().restart(bed.dir_server(i).id());
   }
-  for (int i = 0; i < 300; ++i) {
-    if (std::all_of(done.begin(), done.end(), [](char d) { return d != 0; }))
-      break;
+  for (int i = 0; i < 300 && !driver.finished(); ++i) {
     sim.run_for(sim::msec(100));
   }
   if (is_group(opts.flavor)) {
@@ -462,7 +386,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
         // Single server, no admin protocol: digest a final listing instead.
         dir::DirClient dc(rpc, bed.dir_port());
         for (int attempt = 0; attempt < 20; ++attempt) {
-          auto res = dc.list_dir(home);
+          auto res = dc.list_dir(driver.home());
           if (res.is_ok()) {
             Writer w;
             for (const auto& row : res->rows) {
@@ -506,9 +430,9 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
     report.replicas_agree = true;
     if (opts.flavor != Flavor::nfs) {
-      Semantic first;
+      ReplicaState first;
       for (int i = 0; i < nservers; ++i) {
-        auto sem = Semantic::from_snapshot(snaps[static_cast<std::size_t>(i)],
+        auto sem = ReplicaState::from_snapshot(snaps[static_cast<std::size_t>(i)],
                                            bed.dir_port());
         if (!sem.is_ok()) {
           verify_fail = sem.status().message();

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/linearize.h"
@@ -111,6 +113,29 @@ std::vector<FaultStep> shrink(const FuzzOptions& failing,
 /// The exact CLI invocation that replays this run.
 std::string repro_command(const FuzzOptions& opts,
                           const std::vector<FaultStep>& schedule);
+
+/// Replica state reduced to what must agree across replicas: object
+/// identity, secrets, seqnos and row layout. Bullet capabilities are
+/// excluded — each replica legitimately stores its copies under different
+/// file capabilities.
+struct ReplicaState {
+  struct Obj {
+    std::uint64_t secret = 0;
+    std::uint64_t seqno = 0;
+    std::vector<std::pair<std::string, std::size_t>> rows;  // name, #cols
+    bool operator==(const Obj&) const = default;
+  };
+  std::map<std::uint32_t, Obj> objs;
+  bool operator==(const ReplicaState&) const = default;
+
+  static Result<ReplicaState> from_snapshot(const Buffer& snap,
+                                            net::Port port);
+};
+
+/// Fetch one replica's raw state snapshot over its admin port (group
+/// flavors) or peer port (RPC flavors).
+Result<Buffer> fetch_snapshot(harness::Testbed& bed, rpc::RpcClient& rpc,
+                              int server);
 
 /// CLI-friendly flavor names ("group", "rpc_nvram", ...), round-trippable
 /// through parse_flavor (unlike harness::flavor_name's display strings).

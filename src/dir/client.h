@@ -23,6 +23,15 @@
 
 namespace amoeba::dir {
 
+/// True when the service failed the client: timeout, unreachable or
+/// refused (a barrier timeout, "all servers busy"), lost quorum, group
+/// failure, a device error or a full device, abort, internal error.
+/// Semantic negatives — not_found, exists, conflict, bad_capability — are
+/// successful service: the request was executed and answered. The
+/// availability timeline scores errors by this rule, and clients that pin
+/// a replica fail over only on it.
+bool service_failure(const Status& st);
+
 class DirClient {
  public:
   DirClient(rpc::RpcClient& rpc, net::Port service_port,

@@ -686,23 +686,19 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     };
     std::vector<Sub> subs;
     try {
-      Reader r(msg.payload);
       if (msg.kind == group::MsgKind::batch) {
-        const std::size_t n = r.count(2 + 8 + 4);  // origin, msgid, bytes
-        subs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const net::MachineId origin{r.u16()};
-          (void)r.u64();  // group-level msgid; identity here is the opid
-          Buffer body = r.bytes();
-          Reader br(body);
+        // The group-level msgid is not needed: identity here is the opid.
+        for (const group::BatchSub& b : group::decode_batch(msg.payload)) {
+          Reader br(b.payload);
           Sub s;
           s.opid = br.u64();
           s.secret = br.u64();
           s.request = br.bytes();
-          s.mine = origin == ctx.machine.id();
+          s.mine = b.origin == ctx.machine.id();
           subs.push_back(std::move(s));
         }
       } else {
+        Reader r(msg.payload);
         Sub s;
         s.opid = r.u64();
         s.secret = r.u64();

@@ -34,16 +34,7 @@ enum class WireType : std::uint8_t {
                 // app-level state transfer (rejoin).
 };
 
-struct AcceptRecord {
-  std::uint64_t seqno = 0;
-  MsgKind kind = MsgKind::data;
-  MachineId origin;             // data: sender; join/leave: subject
-  std::uint64_t origin_msgid = 0;
-  Buffer payload;
-  /// Causal context of the hop that carried this record here (in-memory
-  /// only; the wire context rides in the Packet header, not the body).
-  obs::TraceContext ctx;
-};
+}  // namespace
 
 void encode_accept_body(Writer& w, const AcceptRecord& rec) {
   w.u64(rec.seqno);
@@ -63,7 +54,20 @@ AcceptRecord decode_accept_body(Reader& r) {
   return rec;
 }
 
-}  // namespace
+std::vector<BatchSub> decode_batch(const Buffer& payload) {
+  Reader r(payload);
+  const std::size_t n = r.count(2 + 8 + 4);  // origin, msgid, bytes
+  std::vector<BatchSub> subs;
+  subs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    BatchSub s;
+    s.origin = MachineId{r.u16()};
+    s.msgid = r.u64();
+    s.payload = r.bytes();
+    subs.push_back(std::move(s));
+  }
+  return subs;
+}
 
 // ------------------------------------------------------------------- Ctx
 
@@ -356,31 +360,18 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
       // retry landed in a successor's batch) and mark the survivors
       // delivered. Survivors go to the application as ONE message, in
       // batch order, re-encoded in the same sub format.
-      Reader br(rec.payload);
-      const std::size_t n = br.count(2 + 8 + 4);  // origin, msgid, bytes
-      std::vector<std::tuple<std::uint16_t, std::uint64_t, Buffer>> kept;
-      kept.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint16_t ov = br.u16();
-        const std::uint64_t mid = br.u64();
-        Buffer sub = br.bytes();
-        if (delivered_ids.contains({ov, mid})) continue;
-        note_dedup(MachineId{ov}, mid);
-        kept.emplace_back(ov, mid, std::move(sub));
+      std::vector<BatchSub> kept;
+      for (BatchSub& sub : decode_batch(rec.payload)) {
+        if (delivered_ids.contains({sub.origin.v, sub.msgid})) continue;
+        note_dedup(sub.origin, sub.msgid);
+        kept.push_back(std::move(sub));
       }
       if (kept.empty()) return;  // all dups; history entry kept for retrans
-      Writer w;
-      w.u32(static_cast<std::uint32_t>(kept.size()));
-      for (auto& [ov, mid, sub] : kept) {
-        w.u16(ov);
-        w.u64(mid);
-        w.bytes(sub);
-      }
       GroupMsg msg;
       msg.seqno = rec.seqno;
       msg.kind = MsgKind::batch;
       msg.sender = rec.origin;
-      msg.payload = w.take();
+      msg.payload = encode_batch(kept);
       msg.ctx = rec.ctx;
       ready.push_back(std::move(msg));
       recv_wq.notify_all();
@@ -532,14 +523,7 @@ std::uint64_t GroupMember::Ctx::seq_assign_batch(std::vector<PendingSub> subs) {
   rec.origin = me;       // the batch as a record is sequencer-authored;
   rec.origin_msgid = 0;  // per-sub identity rides inside the payload
   rec.ctx = subs.front().ctx;
-  Writer pw;
-  pw.u32(static_cast<std::uint32_t>(subs.size()));
-  for (const auto& s : subs) {
-    pw.u16(s.origin.v);
-    pw.u64(s.msgid);
-    pw.bytes(s.payload);
-  }
-  rec.payload = pw.take();
+  rec.payload = encode_batch(subs);
 
   PendingCommit pc;
   pc.origin = me;

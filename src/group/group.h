@@ -63,6 +63,48 @@ struct GroupMsg {
   obs::TraceContext ctx;
 };
 
+// ------------------------------------------------------------ wire codecs
+// The body of an ACCEPT packet and the payload of a batch record. Members
+// decode them from network bytes, so the decoders throw DecodeError on
+// any malformed input and never allocate from an unchecked count.
+
+/// One sequenced record, as an ACCEPT carries it.
+struct AcceptRecord {
+  std::uint64_t seqno = 0;
+  MsgKind kind = MsgKind::data;
+  MachineId origin;             // data: sender; join/leave: subject
+  std::uint64_t origin_msgid = 0;
+  Buffer payload;
+  /// Causal context of the hop that carried this record here (in-memory
+  /// only; the wire context rides in the Packet header, not the body).
+  obs::TraceContext ctx;
+};
+
+void encode_accept_body(Writer& w, const AcceptRecord& rec);
+AcceptRecord decode_accept_body(Reader& r);
+
+/// One coalesced send inside a MsgKind::batch payload.
+struct BatchSub {
+  MachineId origin;
+  std::uint64_t msgid = 0;
+  Buffer payload;
+};
+
+/// Encode any sequence of subs (elements with origin, msgid, payload).
+template <typename Subs>
+Buffer encode_batch(const Subs& subs) {
+  Writer w;
+  w.u32(static_cast<std::uint32_t>(subs.size()));
+  for (const auto& s : subs) {
+    w.u16(s.origin.v);
+    w.u64(s.msgid);
+    w.bytes(s.payload);
+  }
+  return w.take();
+}
+
+std::vector<BatchSub> decode_batch(const Buffer& payload);
+
 enum class MemberState : std::uint8_t { normal, resetting, failed, left };
 
 /// Ordering method (Kaashoek & Tanenbaum 1991, the paper's ref [9]):

@@ -13,13 +13,21 @@
 #pragma once
 
 #include <cmath>
-#include <functional>
+#include <string>
 #include <vector>
 
+#include "dir/client.h"
 #include "harness/testbed.h"
 #include "obs/metrics.h"
 
 namespace amoeba::harness {
+
+/// Create a directory, retrying every 100 ms (up to `tries` attempts) while
+/// the service is still coming up.
+Result<cap::Capability> make_dir_retry(
+    dir::DirClient& dc, sim::Simulator& sim,
+    const std::vector<std::string>& columns = {"owner", "group", "other"},
+    int tries = 40);
 
 /// Zipfian key-popularity picker: pick(rng) returns an index in [0, n)
 /// with P(k) proportional to 1/(k+1)^s. s == 0 degenerates to uniform; the

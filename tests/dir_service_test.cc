@@ -5,6 +5,7 @@
 #include "bullet/bullet.h"
 #include "dir/client.h"
 #include "harness/testbed.h"
+#include "harness/workload.h"
 
 namespace amoeba::harness {
 namespace {
@@ -32,23 +33,13 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim,
-                                          int tries = 50) {
-  for (int i = 0; i < tries; ++i) {
-    auto res = dc.create_dir({"owner", "group", "other"});
-    if (res.is_ok()) return res;
-    sim.sleep_for(sim::msec(100));
-  }
-  return Status::error(Errc::unreachable, "create_dir never succeeded");
-}
-
 class AllFlavors : public ::testing::TestWithParam<Flavor> {};
 
 TEST_P(AllFlavors, CrudLifecycle) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 5});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim());
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
 
     cap::Capability file;
@@ -83,7 +74,7 @@ TEST_P(AllFlavors, CapabilityEnforcement) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 6});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim());
     ASSERT_TRUE(dcap.is_ok());
     cap::Capability forged = *dcap;
     forged.check ^= 1;
@@ -99,7 +90,7 @@ TEST_P(AllFlavors, ReplaceSetIsAtomic) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 7});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto d1 = create_with_retry(dc, bed.sim());
+    auto d1 = harness::make_dir_retry(dc, bed.sim());
     auto d2 = dc.create_dir({"c"});
     ASSERT_TRUE(d1.is_ok());
     ASSERT_TRUE(d2.is_ok());
@@ -130,7 +121,7 @@ TEST_P(AllFlavors, LookupSetIsAllOrNothing) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 7});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto d1 = create_with_retry(dc, bed.sim());
+    auto d1 = harness::make_dir_retry(dc, bed.sim());
     auto d2 = dc.create_dir({"c"});
     ASSERT_TRUE(d1.is_ok());
     ASSERT_TRUE(d2.is_ok());
@@ -166,7 +157,7 @@ TEST_P(AllFlavors, ChmodRestrictsStoredCapability) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 8});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim());
     ASSERT_TRUE(dcap.is_ok());
     cap::Capability stored;
     stored.object = 5;
@@ -201,7 +192,7 @@ TEST(GroupDirService, ReadYourWritesAcrossServers) {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 9});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim());
     ASSERT_TRUE(dcap.is_ok());
     // Force different servers for consecutive ops by flushing the client's
     // port cache between them.

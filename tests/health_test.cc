@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "check/client_driver.h"
 #include "check/nemesis.h"
-#include "dir/client.h"
 #include "harness/testbed.h"
 #include "obs/health.h"
 
@@ -203,47 +203,20 @@ TEST(HealthDetector, MinWeightGatesOneShotConvictions) {
 /// A short fault-free group+NVRAM run: two clients, mixed ops. The health
 /// layer sees every RPC, so any suspicion here is a false positive.
 std::uint64_t healthy_run_suspicions(std::uint64_t seed) {
+  check::ClientDriver driver({.mix = {{check::DriverOp::append, 50},
+                                      {check::DriverOp::lookup, 100}},
+                              .keys = 6,
+                              .max_think = sim::msec(15),
+                              .failover = check::Failover::service_failure});
   harness::Testbed bed(
       {.flavor = harness::Flavor::group_nvram, .clients = 2, .seed = seed});
   if (!bed.wait_ready()) {
     ADD_FAILURE() << "service not ready, seed " << seed;
     return 0;
   }
-  bool stop = false;
-  cap::Capability home;
-  bool setup_ok = false;
-  for (int c = 0; c < 2; ++c) {
-    net::Machine& cm = bed.client(c);
-    cm.spawn("w" + std::to_string(c), [&, c, &cm2 = cm] {
-      rpc::RpcClient rpc(cm2);
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          bed.sim().sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
-        if (!res.is_ok()) return;
-        home = *res;
-        setup_ok = true;
-      } else {
-        while (!setup_ok && !stop) bed.sim().sleep_for(sim::msec(50));
-      }
-      auto& rng = bed.sim().rng();
-      while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(6));
-        if (rng.below(2) == 0) {
-          (void)dc.append_row(home, key, {home});
-        } else {
-          (void)dc.lookup(home, key);
-        }
-        bed.sim().sleep_for(
-            static_cast<sim::Duration>(rng.below(15'000)));
-      }
-    });
-  }
+  driver.start(bed);
   bed.sim().run_for(sim::sec(3));
-  stop = true;
+  driver.stop();
   bed.sim().run_for(sim::msec(200));
   return bed.cluster().health().suspect_transitions();
 }
@@ -260,11 +233,16 @@ TEST(HealthFleet, FiftyHealthySeedsZeroFalseSuspicions) {
 
 // --------------------------------------------- end-to-end slow replica
 
-/// Pinned observers + probers (the simreport --health arrangement), one
-/// dragged replica. Returns the health JSON; optionally reports the first
-/// suspicion of the victim relative to fault injection.
+/// The simreport --health arrangement: pinned observers plus two probers
+/// per vantage, one dragged replica. Returns the health JSON; optionally
+/// reports the first suspicion of the victim relative to fault injection.
 std::string slow_replica_run(std::uint64_t seed, sim::Time* injected_at,
                              sim::Time* first_suspect) {
+  check::ClientDriver driver({.mix = {{check::DriverOp::append, 50},
+                                      {check::DriverOp::lookup, 100}},
+                              .pin_vantage = true,
+                              .probers_per_vantage = 2,
+                              .failover = check::Failover::service_failure});
   harness::Testbed bed(
       {.flavor = harness::Flavor::group_nvram, .clients = 3, .seed = seed});
   if (!bed.wait_ready()) {
@@ -272,57 +250,9 @@ std::string slow_replica_run(std::uint64_t seed, sim::Time* injected_at,
     return {};
   }
   sim::Simulator& sim = bed.sim();
-  bool stop = false;
-  cap::Capability home;
-  bool setup_ok = false;
-  for (int c = 0; c < 3; ++c) {
-    net::Machine& cm = bed.client(c);
-    cm.spawn("w" + std::to_string(c), [&, c, &cm2 = cm] {
-      rpc::RpcClient rpc(cm2);
-      rpc.prefer_server(bed.dir_port(),
-                        bed.dir_server(c % bed.num_dir_servers()).id());
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          sim.sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
-        if (!res.is_ok()) return;
-        home = *res;
-        setup_ok = true;
-      } else {
-        while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      }
-      auto& rng = sim.rng();
-      while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(8));
-        if (rng.below(2) == 0) {
-          (void)dc.append_row(home, key, {home});
-        } else {
-          (void)dc.lookup(home, key);
-        }
-        sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-      }
-    });
-    // Vantage prober: keeps the dragged replica observed even when
-    // trans() fails over on NOTHERE (see tools/simreport_main.cc).
-    cm.spawn("p" + std::to_string(c), [&, c, &cm2 = cm] {
-      rpc::RpcClient prpc(cm2);
-      dir::DirClient pdc(prpc, bed.dir_port());
-      const net::MachineId vantage =
-          bed.dir_server(c % bed.num_dir_servers()).id();
-      while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      while (!stop) {
-        prpc.flush_port_cache(bed.dir_port());
-        prpc.prefer_server(bed.dir_port(), vantage);
-        (void)pdc.lookup(home, "k0");
-        sim.sleep_for(sim::msec(50));
-      }
-    });
-  }
+  driver.start(bed);
   sim.run_for(sim::sec(2));  // healthy baseline
-  EXPECT_TRUE(setup_ok);
+  EXPECT_TRUE(driver.setup_ok());
 
   check::FaultStep step;
   step.kind = check::FaultStep::Kind::slow_replica;
@@ -333,7 +263,7 @@ std::string slow_replica_run(std::uint64_t seed, sim::Time* injected_at,
   const sim::Time t0 = sim.now();
   check::run_step(bed, step);
   sim.run_for(sim::sec(2));
-  stop = true;
+  driver.stop();
   sim.run_for(sim::msec(200));
 
   const obs::HealthMonitor& hm = bed.cluster().health();

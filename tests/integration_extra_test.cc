@@ -154,14 +154,10 @@ TEST_P(MixedWorkload, ManyClientsMixedOpsStayCoherent) {
   bed.client(0).spawn("setup", [&] {
     rpc::RpcClient rpc(bed.client(0));
     dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !setup; ++i) {
-      auto d = dc.create_dir({"c"});
-      if (d.is_ok()) {
-        shared = *d;
-        setup = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
+    const auto d = harness::make_dir_retry(dc, bed.sim(), {"c"}, 50);
+    if (d.is_ok()) {
+      shared = *d;
+      setup = true;
     }
   });
   bed.sim().run_for(sim::sec(10));

@@ -27,6 +27,7 @@
 #include "dir/client.h"
 #include "dir/persist.h"
 #include "harness/testbed.h"
+#include "harness/workload.h"
 
 namespace amoeba::harness {
 namespace {
@@ -53,16 +54,6 @@ void run_client(Testbed& bed, int client_idx,
   ASSERT_TRUE(done) << "client did not finish within the limit";
   ASSERT_TRUE(bed.sim().process_errors().empty())
       << bed.sim().process_errors().front();
-}
-
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim,
-                                          int tries = 50) {
-  for (int i = 0; i < tries; ++i) {
-    auto res = dc.create_dir({"owner"});
-    if (res.is_ok()) return res;
-    sim.sleep_for(sim::msec(100));
-  }
-  return Status::error(Errc::unreachable, "create_dir never succeeded");
 }
 
 /// Append with retries; an `exists` refusal after an ambiguous round means
@@ -110,7 +101,7 @@ TEST(LeaseCache, RepeatLookupIsAZeroPacketCacheHit) {
                .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
 
@@ -141,7 +132,7 @@ TEST(LeaseCache, OwnUpdateForgetsTheCachedCopy) {
                .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::make_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
     ASSERT_TRUE(dc.lookup(*dcap, "k").is_ok());  // fill
@@ -170,7 +161,7 @@ TEST(LeaseCache, UpdateByAnotherClientInvalidatesTheLease) {
     rpc::RpcClient rpc(ma);
     DirClient dc(rpc, bed.dir_port());
     dc.enable_leases();
-    auto d = create_with_retry(dc, bed.sim());
+    auto d = harness::make_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(d.is_ok()) << d.status().to_string();
     dcap = *d;
     ASSERT_TRUE(dc.append_row(dcap, "k", {payload_cap(9)}).is_ok());
@@ -218,7 +209,7 @@ TEST(LeaseCache, ExpiryExactlyAtTheSimTimeBoundary) {
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
-    auto dcap = create_with_retry(dc, sim);
+    auto dcap = harness::make_dir_retry(dc, sim, {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
 
@@ -268,7 +259,7 @@ TEST(LeaseCache, PartitionBoundsStalenessToTheLeaseDuration) {
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
-    auto dcap = create_with_retry(dc, sim);
+    auto dcap = harness::make_dir_retry(dc, sim, {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
     ASSERT_TRUE(dc.lookup(*dcap, "k").is_ok());  // fill
@@ -306,7 +297,7 @@ TEST(LeaseCache, SameSeedRunsProduceIdenticalHitCounters) {
                  .lease_caching = true});
     EXPECT_TRUE(bed.wait_ready());
     run_client(bed, 0, [&](DirClient& dc) {
-      auto dcap = create_with_retry(dc, bed.sim());
+      auto dcap = harness::make_dir_retry(dc, bed.sim(), {"owner"});
       ASSERT_TRUE(dcap.is_ok());
       for (int i = 0; i < 4; ++i) {
         std::string name = "k" + std::to_string(i);
@@ -385,7 +376,7 @@ void concurrent_append_load(Testbed& bed, int n, int per_client) {
       rpc::RpcClient rpc(cm);
       DirClient dc(rpc, bed.dir_port());
       if (c == 0) {
-        auto d = create_with_retry(dc, bed.sim());
+        auto d = harness::make_dir_retry(dc, bed.sim(), {"owner"});
         ASSERT_TRUE(d.is_ok()) << d.status().to_string();
         dcap = *d;
         start_at = bed.sim().now() + sim::msec(50);

@@ -371,14 +371,10 @@ TEST(CostModel, NvramModeAppendTouchesNvramNotDisk) {
   cm.spawn("setup", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
+    const auto res = harness::make_dir_retry(dc, bed.sim(), {"c"}, 50);
+    if (res.is_ok()) {
+      dcap = *res;
+      ready = true;
     }
   });
   bed.sim().run_for(sim::sec(10));
@@ -415,14 +411,10 @@ obs::Metrics::Snapshot measured_append_window(int warmup_ops, int measured_ops) 
   cm.spawn("setup", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
+    const auto res = harness::make_dir_retry(dc, bed.sim(), {"c"}, 50);
+    if (res.is_ok()) {
+      dcap = *res;
+      ready = true;
     }
   });
   bed.sim().run_for(sim::sec(10));
@@ -498,11 +490,7 @@ ScenarioResult run_scenario(std::uint64_t seed) {
   cm.spawn("scenario", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const auto dcap = harness::make_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < 3; ++i) {
       (void)dc.append_row(*dcap, "e" + std::to_string(i), {});

@@ -4,8 +4,9 @@
 // bad_request reply from the request decoders, a DecodeError from the
 // state codecs — because servers feed network bytes straight into them.
 // The same holds for the other length-prefixed decoders a server feeds
-// untrusted bytes: NVRAM log records read back at boot, and the disk scan
-// and Bullet list replies read at boot.
+// untrusted bytes: NVRAM log records, the commit block and object-table
+// entries read back at boot, the disk scan and Bullet list replies read at
+// boot, and the group protocol's ACCEPT bodies and batch records.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +18,7 @@
 #include "dir/proto.h"
 #include "dir/types.h"
 #include "disk/disk_server.h"
+#include "group/group.h"
 
 namespace amoeba::dir {
 namespace {
@@ -239,14 +241,18 @@ TEST(ProtoFuzz, EmptyAndUnknownOpsAreBadRequests) {
   }
 }
 
-/// Feed `decode` many mangled copies of `clean`: random bit flips, and
-/// 0xff written over every 2- and 4-byte window, so each count field is hit
-/// with a huge value. `decode` may return or throw DecodeError — anything
+/// Feed `decode` many mangled copies of `clean`: every truncation, random
+/// bit flips, and 0xff written over every 2- and 4-byte window, so each
+/// count field is hit with a huge value. `decode` may return or throw DecodeError — anything
 /// else (std::bad_alloc from reserving an unchecked count, say) escapes
 /// and fails the test.
 template <typename Decode>
 void fuzz_decoder(const Buffer& clean, Decode decode) {
   std::vector<Buffer> variants;
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    variants.emplace_back(clean.begin(),
+                          clean.begin() + static_cast<std::ptrdiff_t>(len));
+  }
   for (std::size_t width : {2, 4}) {
     for (std::size_t at = 0; at + width <= clean.size(); ++at) {
       Buffer b = clean;
@@ -324,6 +330,69 @@ TEST(ProtoFuzz, BulletListRepliesNeverCrash) {
   fuzz_decoder(reply, [](const Buffer& b) {
     (void)bullet::BulletClient::decode_list(b);
   });
+}
+
+TEST(ProtoFuzz, CommitBlocksNeverCrash) {
+  CommitBlock cb;
+  cb.config = 0b101;
+  cb.seqno = 9;
+  cb.recovering = true;
+  const Buffer block = cb.serialize();
+  const CommitBlock back = CommitBlock::deserialize(block);
+  EXPECT_EQ(back.config, cb.config);
+  EXPECT_EQ(back.seqno, cb.seqno);
+  EXPECT_TRUE(back.recovering);
+  fuzz_decoder(block,
+               [](const Buffer& b) { (void)CommitBlock::deserialize(b); });
+}
+
+TEST(ProtoFuzz, ObjectEntriesNeverCrash) {
+  ObjectEntry e;
+  e.in_use = true;
+  e.secret = 1234;
+  e.seqno = 8;
+  e.bullet = some_cap(4);
+  Writer w;
+  e.encode(w);
+  const Buffer entry = w.take();
+  Reader r(entry);
+  EXPECT_EQ(ObjectEntry::decode(r).secret, e.secret);
+  fuzz_decoder(entry, [](const Buffer& b) {
+    Reader rb(b);
+    (void)ObjectEntry::decode(rb);
+  });
+}
+
+TEST(ProtoFuzz, GroupAcceptBodiesNeverCrash) {
+  Fixture f;
+  group::AcceptRecord rec;
+  rec.seqno = 42;
+  rec.origin = net::MachineId{3};
+  rec.origin_msgid = 7;
+  rec.payload = make_append_row(f.dir, "name", {some_cap(1)});
+  Writer w;
+  group::encode_accept_body(w, rec);
+  const Buffer body = w.take();
+  Reader r(body);
+  const group::AcceptRecord back = group::decode_accept_body(r);
+  EXPECT_EQ(back.seqno, rec.seqno);
+  EXPECT_EQ(back.payload, rec.payload);
+  fuzz_decoder(body, [](const Buffer& b) {
+    Reader rb(b);
+    (void)group::decode_accept_body(rb);
+  });
+}
+
+TEST(ProtoFuzz, GroupBatchRecordsNeverCrash) {
+  Fixture f;
+  std::vector<group::BatchSub> subs;
+  std::uint64_t msgid = 0;
+  for (const Buffer& req : all_requests(f)) {
+    subs.push_back({net::MachineId{2}, ++msgid, req});
+  }
+  const Buffer batch = group::encode_batch(subs);
+  ASSERT_EQ(group::decode_batch(batch).size(), subs.size());
+  fuzz_decoder(batch, [](const Buffer& b) { (void)group::decode_batch(b); });
 }
 
 }  // namespace

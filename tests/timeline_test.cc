@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "check/client_driver.h"
 #include "check/nemesis.h"
 #include "check/simfuzz.h"
 #include "dir/client.h"
@@ -234,34 +235,20 @@ TEST(Slo, CleanRunHasPerfectAvailabilityAndNoFaults) {
 std::string nemesis_run_timeline_json(std::uint64_t seed,
                                       bool* complete_phase,
                                       bool* nemesis_span) {
+  check::ClientDriver driver({.mix = {{check::DriverOp::append, 50},
+                                      {check::DriverOp::lookup, 100}},
+                              .keys = 4,
+                              .max_think = sim::msec(5)});
   harness::Testbed bed(
       {.flavor = harness::Flavor::group_nvram, .clients = 1, .seed = seed});
   if (!bed.wait_ready()) return {};
-  net::Machine& cm = bed.client(0);
-  bool stop = false;
-  cm.spawn("load", [&] {
-    rpc::RpcClient rpc(cm);
-    dir::DirClient dc(rpc, bed.dir_port());
-    auto dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
-    if (!dcap.is_ok()) return;
-    int i = 0;
-    while (!stop) {
-      const std::string name = "e" + std::to_string(i++ % 4);
-      (void)dc.append_row(*dcap, name, {});
-      (void)dc.lookup(*dcap, name);
-      bed.sim().sleep_for(sim::msec(5));
-    }
-  });
+  driver.start(bed);
   bed.sim().run_for(sim::msec(500));
   const auto sched = check::decode_schedule("c1/600/400");
   EXPECT_TRUE(sched.is_ok());
   check::run_schedule(bed, *sched);
   bed.sim().run_for(sim::sec(3));  // let recovery_done and post-heal ops land
-  stop = true;
+  driver.stop();
   bed.sim().run_for(sim::msec(200));
 
   if (complete_phase != nullptr) {
@@ -279,6 +266,57 @@ std::string nemesis_run_timeline_json(std::uint64_t seed,
     }
   }
   return bed.timeline().to_json().dump();
+}
+
+TEST(ServiceFailure, CountsRefusalsAndDeviceErrorsNotNegatives) {
+  for (Errc e : {Errc::timeout, Errc::no_majority, Errc::refused,
+                 Errc::io_error, Errc::unreachable, Errc::group_failure,
+                 Errc::aborted, Errc::full, Errc::internal}) {
+    EXPECT_TRUE(dir::service_failure(Status::error(e))) << errc_name(e);
+  }
+  for (Errc e : {Errc::ok, Errc::not_found, Errc::exists, Errc::conflict,
+                 Errc::bad_capability, Errc::bad_request}) {
+    EXPECT_FALSE(dir::service_failure(Status::error(e))) << errc_name(e);
+  }
+}
+
+/// The simreport --slo slow_disk case without probers: a slowed spindle
+/// makes the group service refuse reads at the barrier timeout. Every op
+/// the driver saw fail by dir::service_failure must be a timeline error,
+/// refusals included.
+TEST(ServiceFailure, TimelineErrorsAreTheDriversServiceFailures) {
+  check::ClientDriver driver({.mix = {{check::DriverOp::append, 40},
+                                      {check::DriverOp::lookup, 80},
+                                      {check::DriverOp::remove, 100}},
+                              .pin_vantage = true,
+                              .failover = check::Failover::service_failure});
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group, .clients = 3, .seed = 1});
+  ASSERT_TRUE(bed.wait_ready());
+  driver.start(bed);
+  bed.sim().run_for(sim::sec(2));
+  ASSERT_TRUE(driver.setup_ok());
+  check::FaultStep step;
+  step.kind = check::FaultStep::Kind::slow_disk;
+  step.victim = 1;
+  step.factor = 8.0;
+  step.fault = sim::msec(2500);
+  step.settle = sim::msec(500);
+  check::run_step(bed, step);
+  bed.sim().run_for(sim::sec(4));
+  driver.stop();
+  bed.sim().run_for(sim::msec(200));
+
+  std::uint64_t service_failures = 0;
+  for (const auto& [code, n] : driver.failures()) {
+    if (dir::service_failure(Status::error(code))) service_failures += n;
+  }
+  const auto refused = driver.failures().find(Errc::refused);
+  ASSERT_NE(refused, driver.failures().end()) << "no refused op to score";
+  EXPECT_GT(refused->second, 0u);
+  const obs::Timeline& tl = bed.timeline();
+  EXPECT_EQ(tl.ops_ok() + tl.ops_err(), driver.ops());
+  EXPECT_EQ(tl.ops_err(), service_failures);
 }
 
 TEST(TimelineIntegration, SameSeedRunsSerializeByteIdenticalJson) {

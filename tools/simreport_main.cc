@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "check/client_driver.h"
 #include "check/nemesis.h"
 #include "dir/client.h"
 #include "harness/workload.h"
@@ -25,29 +26,6 @@
 #include "obs/slo.h"
 
 namespace {
-
-/// True when a client-visible failure indicates sick infrastructure rather
-/// than a semantic negative (not_found on a random key is successful
-/// service). Only infrastructure failures make a workload client abandon
-/// its pinned replica -- flushing on every negative would re-elect the
-/// fastest first-responder and strip the health detector of its vantage
-/// on the slow peer.
-bool infra_failure(const amoeba::Status& st) {
-  using amoeba::Errc;
-  switch (st.code()) {
-    case Errc::timeout:
-    case Errc::unreachable:
-    case Errc::refused:
-    case Errc::no_majority:
-    case Errc::group_failure:
-    case Errc::io_error:
-    case Errc::aborted:
-    case Errc::internal:
-      return true;
-    default:
-      return false;
-  }
-}
 
 using namespace amoeba;
 
@@ -133,11 +111,7 @@ std::string derived_packets(harness::Flavor f, bool is_write,
 
 void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
                 std::string& out) {
-  harness::TestbedOptions topts;
-  topts.flavor = flavor;
-  topts.clients = 1;
-  topts.seed = seed;
-  harness::Testbed bed(topts);
+  harness::Testbed bed({.flavor = flavor, .clients = 1, .seed = seed});
   if (!bed.wait_ready()) {
     appendf(out, "--- %s: service never became ready ---\n",
             harness::flavor_name(flavor));
@@ -150,11 +124,7 @@ void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
   cm.spawn("simreport", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const auto dcap = harness::make_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < ops; ++i) {
       const std::string name = "e" + std::to_string(i);
@@ -290,11 +260,7 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
     rpc::RpcClient rpc(rm);
     dir::DirClient dc(rpc, bed.dir_port());
     dc.enable_leases();
-    shared = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !shared.is_ok(); ++i) {
-      sim.sleep_for(sim::msec(100));
-      shared = dc.create_dir({"c"});
-    }
+    shared = harness::make_dir_retry(dc, sim, {"c"});
     if (!shared.is_ok()) return;
     for (int r = 0; r < 8; ++r) {
       (void)dc.append_row(*shared, "h" + std::to_string(r), {});
@@ -381,11 +347,8 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
 /// "dir.group" instant events: view changes, last-to-fail resolution,
 /// snapshot state transfer, and the first client op served afterwards.
 void run_recovery(std::uint64_t seed, std::string& out) {
-  harness::TestbedOptions topts;
-  topts.flavor = harness::Flavor::group;
-  topts.clients = 1;
-  topts.seed = seed;
-  harness::Testbed bed(topts);
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group, .clients = 1, .seed = seed});
   if (!bed.wait_ready()) {
     appendf(out, "--- recovery: service never became ready ---\n");
     return;
@@ -395,11 +358,7 @@ void run_recovery(std::uint64_t seed, std::string& out) {
   cm.spawn("load", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const auto dcap = harness::make_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; !stop; ++i) {
       const std::string name = "e" + std::to_string(i);
@@ -521,103 +480,34 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
                "---\n",
           static_cast<unsigned long long>(seed));
   for (const FaultCase& fc : cases) {
-    harness::TestbedOptions topts;
-    topts.flavor = fc.flavor;
-    topts.clients = 3;
-    topts.seed = seed;
-    harness::Testbed bed(topts);
+    const bool gray = fc.kind == check::FaultStep::Kind::slow_disk ||
+                      fc.kind == check::FaultStep::Kind::slow_link ||
+                      fc.kind == check::FaultStep::Kind::slow_replica ||
+                      fc.kind == check::FaultStep::Kind::slow_nvram;
+    // Three closed-loop clients, client c pinned to replica c. Gray faults
+    // degrade without failing, so detection lives or dies by observation
+    // coverage: a replica nobody talks to cannot be scored. For them each
+    // vantage also gets two probers: a heavily dragged replica answers
+    // each probe in hundreds of ms, and one prober's cadence (bounded by
+    // its own round trip) would leave the victim's digest below the
+    // detector's qualifying weight exactly when it matters.
+    check::ClientDriver driver({.mix = {{check::DriverOp::append, 40},
+                                        {check::DriverOp::lookup, 80},
+                                        {check::DriverOp::remove, 100}},
+                                .pin_vantage = true,
+                                .probers_per_vantage = gray ? 2 : 0,
+                                .failover = check::Failover::service_failure});
+    harness::Testbed bed({.flavor = fc.flavor, .clients = 3, .seed = seed});
     if (!bed.wait_ready()) {
       appendf(out, "  %s: service never became ready\n",
               check::fault_kind_name(fc.kind));
       continue;
     }
     sim::Simulator& sim = bed.sim();
-    bool stop = false;
-    int started = 0;
-    cap::Capability home;
-    bool setup_ok = false;
-    const bool gray = fc.kind == check::FaultStep::Kind::slow_disk ||
-                      fc.kind == check::FaultStep::Kind::slow_link ||
-                      fc.kind == check::FaultStep::Kind::slow_replica ||
-                      fc.kind == check::FaultStep::Kind::slow_nvram;
-    for (int c = 0; c < 3; ++c) {
-      bed.client(c).spawn("slo" + std::to_string(c), [&, c] {
-        net::Machine& m = bed.client(c);
-        rpc::RpcClient rpc(m);
-        // Seed the port cache so client c starts on replica c. Locate
-        // broadcasts tend to elect one fastest first-responder for every
-        // client; spreading the observers is what gives the differential
-        // health detector an opinion about *each* server.
-        rpc.prefer_server(bed.dir_port(),
-                        bed.dir_server(c % bed.num_dir_servers()).id());
-        dir::DirClient dc(rpc, bed.dir_port());
-        ++started;
-        if (c == 0) {
-          auto res = dc.create_dir({"c"});
-          for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-            sim.sleep_for(sim::msec(100));
-            res = dc.create_dir({"c"});
-          }
-          if (!res.is_ok()) return;
-          home = *res;
-          setup_ok = true;
-        } else {
-          while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-        }
-        auto& rng = m.sim().rng();
-        while (!stop) {
-          const std::string key = "k" + std::to_string(rng.below(8));
-          const std::uint64_t pick = rng.below(100);
-          Status st;
-          if (pick < 40) {
-            st = dc.append_row(home, key, {home});
-          } else if (pick < 80) {
-            st = dc.lookup(home, key).status();
-          } else {
-            st = dc.delete_row(home, key);
-          }
-          if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
-          sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-        }
-      });
-    }
-    // Gray faults degrade without failing, so detection lives or dies by
-    // observation coverage: a replica nobody talks to cannot be scored.
-    // Each client runs a low-rate prober dedicated to its vantage replica
-    // (DIR-Net-style active monitoring). Re-seeding the cache before every
-    // probe undoes trans()'s silent NOTHERE failover, so a saturated
-    // replica keeps producing refusal (error) observations and a slow one
-    // keeps producing inflated round-trips. Separate RpcClient: probers
-    // must not share a reply mailbox with the workload loop.
-    if (gray) {
-      // Two probers per vantage: a heavily dragged replica answers each
-      // probe in hundreds of ms, and one prober's cadence (bounded by its
-      // own round trip) would leave the victim's digest below the
-      // detector's qualifying weight exactly when it matters.
-      for (int c = 0; c < 3; ++c) {
-        for (int pr = 0; pr < 2; ++pr) {
-          bed.client(c).spawn(
-              "probe" + std::to_string(c) + "_" + std::to_string(pr),
-              [&, c] {
-                net::Machine& m = bed.client(c);
-                rpc::RpcClient prpc(m);
-                dir::DirClient pdc(prpc, bed.dir_port());
-                const net::MachineId vantage =
-                    bed.dir_server(c % bed.num_dir_servers()).id();
-                while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-                while (!stop) {
-                  prpc.flush_port_cache(bed.dir_port());
-                  prpc.prefer_server(bed.dir_port(), vantage);
-                  (void)pdc.lookup(home, "k0");
-                  sim.sleep_for(sim::msec(50));
-                }
-              });
-        }
-      }
-    }
+    driver.start(bed);
     sim.run_for(sim::sec(2));  // healthy baseline
-    if (!setup_ok) {
-      stop = true;
+    if (!driver.setup_ok()) {
+      driver.stop();
       sim.run_for(sim::sec(2));
       appendf(out, "  %s: workload setup never succeeded\n",
               check::fault_kind_name(fc.kind));
@@ -634,7 +524,7 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
     // Quiet tail long enough for recovery AND for clients stuck in RPC
     // timeout backoff to land their post-heal ops in the series.
     sim.run_for(sim::sec(4));
-    stop = true;
+    driver.stop();
     sim.run_for(sim::msec(200));
 
     const obs::SloReport rep = obs::evaluate_slo(bed.timeline());
@@ -713,74 +603,25 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
 /// while, and print the per-peer health score table plus the detector's
 /// full suspect / confirm / clear event log.
 void run_health(std::uint64_t seed, std::string& out) {
-  harness::TestbedOptions topts;
-  topts.flavor = harness::Flavor::group_nvram;
-  topts.clients = 3;
-  topts.seed = seed;
-  harness::Testbed bed(topts);
+  // The gray SLO cases' arrangement (see run_slo): pinned observers plus
+  // two probers per vantage, without which a degraded replica loses its
+  // observers to silent failover and the detector has nothing to score.
+  check::ClientDriver driver({.mix = {{check::DriverOp::append, 50},
+                                      {check::DriverOp::lookup, 100}},
+                              .pin_vantage = true,
+                              .probers_per_vantage = 2,
+                              .failover = check::Failover::service_failure});
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group_nvram, .clients = 3, .seed = seed});
   if (!bed.wait_ready()) {
     appendf(out, "--- health: service never became ready ---\n");
     return;
   }
   sim::Simulator& sim = bed.sim();
-  bool stop = false;
-  cap::Capability home;
-  bool setup_ok = false;
-  for (int c = 0; c < 3; ++c) {
-    bed.client(c).spawn("health" + std::to_string(c), [&, c] {
-      net::Machine& m = bed.client(c);
-      rpc::RpcClient rpc(m);
-      rpc.prefer_server(bed.dir_port(),
-                      bed.dir_server(c % bed.num_dir_servers()).id());
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          sim.sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
-        if (!res.is_ok()) return;
-        home = *res;
-        setup_ok = true;
-      } else {
-        while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      }
-      auto& rng = m.sim().rng();
-      while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(8));
-        const Status st = rng.below(100) < 50
-                              ? dc.append_row(home, key, {home})
-                              : dc.lookup(home, key).status();
-        if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
-        sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-      }
-    });
-  }
-  // Same per-vantage probers as the gray SLO cases (see run_slo): without
-  // them a degraded replica loses its observers to silent failover and the
-  // detector has nothing to score.
-  for (int c = 0; c < 3; ++c) {
-    for (int pr = 0; pr < 2; ++pr) {
-      bed.client(c).spawn(
-          "probe" + std::to_string(c) + "_" + std::to_string(pr), [&, c] {
-            net::Machine& m = bed.client(c);
-            rpc::RpcClient prpc(m);
-            dir::DirClient pdc(prpc, bed.dir_port());
-            const net::MachineId vantage =
-                bed.dir_server(c % bed.num_dir_servers()).id();
-            while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-            while (!stop) {
-              prpc.flush_port_cache(bed.dir_port());
-              prpc.prefer_server(bed.dir_port(), vantage);
-              (void)pdc.lookup(home, "k0");
-              sim.sleep_for(sim::msec(50));
-            }
-          });
-    }
-  }
+  driver.start(bed);
   sim.run_for(sim::sec(2));  // healthy baseline
-  if (!setup_ok) {
-    stop = true;
+  if (!driver.setup_ok()) {
+    driver.stop();
     sim.run_for(sim::sec(2));
     appendf(out, "--- health: workload setup never succeeded ---\n");
     return;
@@ -793,7 +634,7 @@ void run_health(std::uint64_t seed, std::string& out) {
   step.settle = sim::msec(500);
   check::run_step(bed, step);
   sim.run_for(sim::sec(2));
-  stop = true;
+  driver.stop();
   sim.run_for(sim::msec(200));
 
   const obs::HealthMonitor& hm = bed.cluster().health();

@@ -94,11 +94,7 @@ int main(int argc, char** argv) {
   cm.spawn("simtrace", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const auto dcap = harness::make_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < ops || (!schedule.empty() && !stop); ++i) {
       const std::string name = "e" + std::to_string(i % 8);
