@@ -42,6 +42,12 @@ struct ServerCtx {
 
   std::optional<NvramWriteBack> wb;  // NVRAM backend (use_nvram)
 
+  /// Mirror of this server's object-table blocks: per object, the entry as
+  /// last read by the boot scan or written since. The snapshot install
+  /// diffs against it. `in_use == false` marks a block not known good (a
+  /// failed write, a missing or corrupt file): the install rewrites it.
+  std::map<std::uint32_t, ObjectEntry> on_disk;
+
   GroupDirStats* stats = nullptr;
 
   /// Lease-holder table: directory object -> (holder lease port -> holder).
@@ -125,50 +131,155 @@ Status write_commit_block(ServerCtx& ctx, Storage& st,
   return st.disk.write_block(0, ctx.cblock.serialize(), tctx);
 }
 
+/// Write object `obj`'s table block and mirror it. After a failed write
+/// the block may hold either version.
+Status write_table_block(ServerCtx& ctx, Storage& st, std::uint32_t obj,
+                         const ObjectEntry& e, obs::TraceContext tctx = {}) {
+  Writer w;
+  e.encode(w);
+  Status ws = st.disk.write_block(obj, w.take(), tctx);
+  if (ws.is_ok()) {
+    ctx.on_disk[obj] = e;
+  } else {
+    ctx.on_disk[obj].in_use = false;
+  }
+  return ws;
+}
+
+/// Clear object `obj`'s table block. Returns the file the block named, for
+/// the caller to delete once the clear is durable.
+Result<cap::Capability> clear_table_block(ServerCtx& ctx, Storage& st,
+                                          std::uint32_t obj,
+                                          obs::TraceContext tctx = {}) {
+  Status ws = st.disk.write_block(obj, Buffer{}, tctx);
+  auto it = ctx.on_disk.find(obj);
+  if (!ws.is_ok()) {
+    if (it != ctx.on_disk.end()) it->second.in_use = false;
+    return ws;
+  }
+  if (it == ctx.on_disk.end()) return cap::kNullCap;
+  const cap::Capability file = it->second.bullet;
+  ctx.on_disk.erase(it);
+  return file;
+}
+
 /// Write one directory's current contents to stable storage: a new Bullet
-/// file plus the object-table block. Returns the superseded Bullet cap so
-/// the caller can remove it after waking the initiator (Fig. 5).
+/// file plus the object-table block. Returns the file the block named
+/// before, so the caller can remove it after waking the initiator (Fig. 5).
+/// That is the file of an earlier directory under the same object number
+/// too, when a delete and a create met between two NVRAM write-backs.
 Result<cap::Capability> persist_object(ServerCtx& ctx, Storage& st,
                                        std::uint32_t obj,
                                        obs::TraceContext tctx = {}) {
+  const ObjectEntry* e = ctx.state.entry(obj);
   Directory* d = ctx.state.directory(obj);
-  if (ctx.state.entry(obj) == nullptr || d == nullptr) {
+  if (e == nullptr || d == nullptr) {
     return Status::error(Errc::internal, "persist of unknown object");
   }
+  // The block must describe the rows beside it: take the seqno with the
+  // rows, before the Bullet create yields to newer updates (NVRAM flusher).
+  const std::uint64_t seqno = e->seqno;
   // If a delete_dir removed the object during the Bullet create, the
   // caller's next flush sees the deletion record and clears the block.
-  auto old = write_copy(ctx.state, st, obj, d->serialize(), tctx);
-  if (!old.is_ok()) return old;
-  Writer w;
-  ctx.state.entry(obj)->encode(w);
-  Status ws = st.disk.write_block(obj, w.take(), tctx);
+  auto copy = write_copy(ctx.state, st, obj, d->serialize(), tctx);
+  if (!copy.is_ok()) return copy;
+  const auto prev = ctx.on_disk.find(obj);
+  const cap::Capability named =
+      prev != ctx.on_disk.end() ? prev->second.bullet : cap::kNullCap;
+  ObjectEntry label = *ctx.state.entry(obj);
+  label.seqno = seqno;
+  Status ws = write_table_block(ctx, st, obj, label, tctx);
   if (!ws.is_ok()) return ws;
-  return old;
+  return named;
 }
 
-/// Persist a directory deletion: clear the object-table block and advance
-/// the commit-block sequence number (the paper's Fig. 4 corner case).
+/// Persist a directory deletion: clear the object-table block, advance the
+/// commit-block sequence number (the paper's Fig. 4 corner case), then
+/// delete the file the block named.
 Status persist_delete(ServerCtx& ctx, Storage& st, std::uint32_t obj,
-                      std::uint64_t seqno, const cap::Capability& old_file,
-                      obs::TraceContext tctx = {}) {
-  Status ws = st.disk.write_block(obj, Buffer{}, tctx);
-  if (!ws.is_ok()) return ws;
+                      std::uint64_t seqno, obs::TraceContext tctx = {}) {
+  auto file = clear_table_block(ctx, st, obj, tctx);
+  if (!file.is_ok()) return file.status();
   ctx.cblock.seqno = std::max(ctx.cblock.seqno, seqno);
   Status cs = write_commit_block(ctx, st, tctx);
   if (!cs.is_ok()) return cs;
-  if (!old_file.is_null()) (void)st.bullet.del(old_file);
+  retire(st, file);
   return Status::ok();
 }
 
-/// Write the entire current database to this server's own storage (state
-/// transfer install, and NVRAM flush-all).
-Status persist_everything(ServerCtx& ctx, Storage& st) {
-  for (const auto& [obj, e] : ctx.state.table()) {
-    auto old = persist_object(ctx, st, obj);
-    if (!old.is_ok()) return old.status();
-    retire(st, old);
+/// Does this server's Bullet file `file` hold exactly `d`'s columns and
+/// rows? The Bullet server answers from its RAM cache.
+bool same_rows(Storage& st, const cap::Capability& file, const Directory& d) {
+  auto contents = st.bullet.read(file);
+  if (!contents.is_ok()) return false;
+  try {
+    const Directory local = Directory::deserialize(*contents);
+    return local.columns == d.columns && local.rows == d.rows;
+  } catch (const DecodeError&) {
+    return false;
   }
-  return write_commit_block(ctx, st);
+}
+
+/// State transfer install (Fig. 6): make this server's disk hold
+/// `ctx.state`, a snapshot fetched from a peer, writing only what differs
+/// from the copy already there (`ctx.on_disk`). Per directory:
+///   - same secret and seqno: the copy is current, nothing is written;
+///   - same secret, columns and rows: only the seqno moved (updates that
+///     cancelled out), so only the table block is relabelled;
+///   - otherwise a new Bullet file and table block, then this server's own
+///     old file is deleted;
+///   - on disk but not in the snapshot: the block is cleared and its file
+///     deleted.
+/// Every entry then names this server's file, not the donor's.
+Result<GroupInstallCounts> install_snapshot(ServerCtx& ctx, Storage& st) {
+  GroupInstallCounts n;
+  std::vector<std::uint32_t> objs;
+  for (const auto& [obj, e] : ctx.state.table()) objs.push_back(obj);
+  for (std::uint32_t obj : objs) {
+    ObjectEntry* e = ctx.state.entry(obj);
+    const Directory* d = ctx.state.directory(obj);
+    if (e == nullptr || d == nullptr) {
+      return Status::error(Errc::internal, "snapshot entry without contents");
+    }
+    const auto it = ctx.on_disk.find(obj);
+    const ObjectEntry local =
+        it != ctx.on_disk.end() ? it->second : ObjectEntry{};
+    const bool ours = local.in_use && local.secret == e->secret;
+    if (ours && local.seqno == e->seqno) {
+      e->bullet = local.bullet;
+      ++n.kept;
+      continue;
+    }
+    if (ours && same_rows(st, local.bullet, *d)) {
+      ObjectEntry label = *e;
+      label.bullet = local.bullet;
+      Status ws = write_table_block(ctx, st, obj, label);
+      if (!ws.is_ok()) return ws;
+      e->bullet = local.bullet;
+      ++n.relabelled;
+      continue;
+    }
+    // write_copy hands back the donor's cap, which names no file here.
+    auto copy = write_copy(ctx.state, st, obj, d->serialize());
+    if (!copy.is_ok()) return copy.status();
+    Status ws = write_table_block(ctx, st, obj, *e);
+    if (!ws.is_ok()) return ws;
+    retire(st, local.bullet);
+    ++n.written;
+  }
+  std::vector<std::uint32_t> gone;
+  for (const auto& [obj, e] : ctx.on_disk) {
+    if (ctx.state.entry(obj) == nullptr) gone.push_back(obj);
+  }
+  for (std::uint32_t obj : gone) {
+    auto file = clear_table_block(ctx, st, obj);
+    if (!file.is_ok()) return file.status();
+    retire(st, file);
+    ++n.dropped;
+  }
+  Status cs = write_commit_block(ctx, st);
+  if (!cs.is_ok()) return cs;
+  return n;
 }
 
 using nvlog::request_target;
@@ -191,6 +302,7 @@ void load_local_state(ServerCtx& ctx, Storage& st) {
   // Sequentially scan the admin partition for object-table entries;
   // deleted slots are simply blank.
   ctx.state.clear();
+  ctx.on_disk.clear();
   std::vector<std::pair<std::uint32_t, ObjectEntry>> entries;
   auto scan = st.disk.scan(1, kMaxObjects);
   if (scan.is_ok()) {
@@ -205,15 +317,22 @@ void load_local_state(ServerCtx& ctx, Storage& st) {
     }
   }
   for (auto& [obj, e] : entries) {
+    ctx.on_disk[obj] = e;
     auto contents = st.bullet.read(e.bullet);
     if (!contents.is_ok()) {
       LOG_WARN << ctx.machine.name() << " missing bullet file for obj " << obj;
+      ctx.on_disk[obj].in_use = false;
       continue;
     }
     try {
-      ctx.state.put(obj, e, Directory::deserialize(*contents));
+      Directory d = Directory::deserialize(*contents);
+      // The table block labels the rows: an install that only relabels a
+      // directory leaves the older seqno inside the file.
+      d.seqno = e.seqno;
+      ctx.state.put(obj, e, std::move(d));
     } catch (const DecodeError&) {
       LOG_WARN << ctx.machine.name() << " corrupt directory obj " << obj;
+      ctx.on_disk[obj].in_use = false;
     }
   }
 
@@ -275,6 +394,13 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
 
 // --------------------------------------------------------- recovery (Fig 6)
 
+/// Record one recovery phase as a "dir.group" span from `t0` to now.
+void phase_span(ServerCtx& ctx, const char* name, sim::Time t0,
+                std::uint64_t arg = 0) {
+  ctx.machine.trace().complete(t0, ctx.now() - t0, "dir.group", name,
+                               ctx.machine.id().v, arg);
+}
+
 group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
   group::GroupConfig cfg = ctx.opts.group_base;
   cfg.port = ctx.opts.group_port;
@@ -295,6 +421,7 @@ group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
 /// begin.
 bool try_recover_once(ServerCtx& ctx, Storage& st) {
   sim::Simulator& sim = ctx.sim();
+  sim::Time phase_t0 = ctx.now();
 
   // A kernel that reported an unrepairable history gap must not be reused:
   // its delivery cursor sits below everything any peer can retransmit.
@@ -310,7 +437,8 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
   // back to creating immediately — higher indices keep probing for a while
   // so a simultaneous cold boot converges on one group instead of racing
   // rival singleton lineages.
-  if (!ctx.gm) {
+  const bool rejoin = !ctx.gm;
+  if (rejoin) {
     auto join = group::GroupMember::join(ctx.machine, make_group_cfg(ctx));
     for (int attempt = 0; !join.is_ok() && attempt < 2 * ctx.my_index;
          ++attempt) {
@@ -358,6 +486,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     if (ctx.majority()) break;
     sim.sleep_for(sim::msec(20));
   }
+  if (rejoin) phase_span(ctx, "recovery_join", phase_t0);
   if (!ctx.majority()) {
     // "if (minority) try again (leave group and retry)"
     (void)ctx.gm->leave(sim::msec(200));
@@ -369,6 +498,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
   }
 
   // Skeen's algorithm over the group members.
+  phase_t0 = ctx.now();
   std::uint32_t newgroup = 1u << ctx.my_index;
   std::uint32_t mourned = ~ctx.cblock.config & ctx.all_mask();
   std::map<int, std::uint64_t> seqnos{{ctx.my_index, ctx.my_seqno}};
@@ -430,10 +560,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
       return false;
     }
   }
-  // Timeline: at this point the set of servers that possibly performed the
-  // latest update is accounted for (present, or excused by Sec. 3.2).
-  ctx.machine.trace().instant(ctx.now(), "dir.group", "last_to_fail_resolved",
-                              ctx.machine.id().v, last);
+  // At this point the set of servers that possibly performed the latest
+  // update is accounted for (present, or excused by Sec. 3.2).
+  phase_span(ctx, "recovery_exchange", phase_t0, last);
 
   // Fetch the newest state if someone is ahead of us, or if the group has
   // already sequenced updates its kernel will never deliver to us. Our
@@ -459,6 +588,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     return false;
   }
   if (behind_peer || behind_group) {
+    phase_t0 = ctx.now();
     ctx.cblock.recovering = true;
     (void)write_commit_block(ctx, st);
 
@@ -483,18 +613,27 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
           sim.sleep_for(sim::msec(20));
           continue;
         }
+        phase_span(ctx, "recovery_fetch", phase_t0, snap.size());
+        phase_t0 = ctx.now();
+        // The flusher does not start a pass while we recover, but one may
+        // be in flight; it writes back from the state replaced here.
+        if (ctx.wb) ctx.wb->wait_idle();
         ctx.state = DirState::from_snapshot(snap, ctx.opts.dir_port);
-        ctx.machine.trace().instant(ctx.now(), "dir.group", "state_transfer",
-                                    ctx.machine.id().v, snap.size());
+        ctx.cblock.seqno = peer_commit_seqno;
+        if (ctx.wb) ctx.wb->clear();  // the snapshot supersedes the log
+        auto counts = install_snapshot(ctx, st);
+        installed = counts.is_ok();
+        phase_span(ctx, "recovery_install", phase_t0,
+                   installed ? counts->pack() : 0);
+        phase_t0 = ctx.now();
+        if (!installed) continue;
         LOG_DEBUG << ctx.machine.name() << " installed snapshot from dir"
                   << donor << ": applied=" << peer_applied
                   << " cutoff=" << cutoff;
+        // Only a complete install raises our seqno: until then a later
+        // pass must fetch again.
         ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
         ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
-        ctx.cblock.seqno = peer_commit_seqno;
-        if (ctx.wb) ctx.wb->clear();  // the snapshot supersedes the log
-        Status ps = persist_everything(ctx, st);
-        installed = ps.is_ok();
       } catch (const DecodeError&) {
         break;
       }
@@ -727,19 +866,10 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     // Apply every update in batch order, then persist once: objects touched
     // several times in one batch hit the disk (or the NVRAM log) once.
     std::vector<std::uint32_t> touched_union;
-    std::vector<std::pair<std::uint32_t, cap::Capability>> deleted_union;
+    std::vector<std::uint32_t> deleted_union;
     std::vector<nvlog::Record> changed;  // NVRAM group-commit input
     DirState::ApplyEffect single_effect;  // of the lone changed sub, if any
     for (Sub& sub : subs) {
-      // For directory deletion, remember the on-disk file before apply()
-      // drops the entry, so it can be garbage collected after commit.
-      cap::Capability deleted_file = cap::kNullCap;
-      if (auto op = peek_op(sub.request);
-          op.is_ok() && *op == DirOp::delete_dir) {
-        if (ObjectEntry* e = ctx.state.entry(request_target(sub.request))) {
-          deleted_file = e->bullet;
-        }
-      }
       DirState::ApplyEffect effect;
       sub.reply = ctx.state.apply(sub.request, sub.secret, msg.seqno, &effect);
       if (log::level() <= log::Level::debug) {
@@ -767,9 +897,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
           touched_union.push_back(obj);
         }
       }
-      for (std::uint32_t obj : effect.deleted) {
-        deleted_union.emplace_back(obj, deleted_file);
-      }
+      for (std::uint32_t obj : effect.deleted) deleted_union.push_back(obj);
       if (ctx.wb) {
         changed.push_back(
             nvlog::make_record(sub.request, sub.secret, msg.seqno, effect));
@@ -796,8 +924,10 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
         auto old = persist_object(ctx, st, obj, actx);
         if (old.is_ok() && !old->is_null()) old_files.push_back(*old);
       }
-      for (const auto& [obj, file] : deleted_union) {
-        (void)persist_delete(ctx, st, obj, msg.seqno, file, actx);
+      for (std::uint32_t obj : deleted_union) {
+        // Re-created by a later update of the same batch: its block is new.
+        if (ctx.state.entry(obj) != nullptr) continue;
+        (void)persist_delete(ctx, st, obj, msg.seqno, actx);
       }
     }
     if (apply_sp != 0) {
@@ -952,6 +1082,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
         NvramWriteBack::Config{
             .nvram_bytes = ctx.opts.nvram_bytes,
             .last_activity = &ctx.last_client_op,
+            .in_recovery = &ctx.in_recovery,
             .flushes = &stats.flushes,
             .cancellations = &stats.nvram_cancellations,
             .mx_flushes = &ctx.mx_flushes,
@@ -960,7 +1091,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
                   if (ctx.state.entry(obj) != nullptr) {
                     retire(st, persist_object(ctx, st, obj));
                   } else {
-                    (void)st.disk.write_block(obj, Buffer{});
+                    retire(st, clear_table_block(ctx, st, obj));
                   }
                 },
             // Fig. 4: a flushed directory deletion advances the commit
@@ -974,7 +1105,9 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   }
 
   Storage st(ctx);
+  const sim::Time load_t0 = machine.sim().now();
   load_local_state(ctx, st);
+  phase_span(ctx, "recovery_load", load_t0, ctx.state.table().size());
 
   // Admin service (recovery RPCs) — available even while recovering.
   auto admin = std::make_shared<rpc::RpcServer>(

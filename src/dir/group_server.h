@@ -109,6 +109,29 @@ struct GroupDirStats {
   std::uint64_t applied_seqno = 0;
 };
 
+/// What one state-transfer install did per directory. Recovery records
+/// each phase as a "dir.group" span: recovery_load (arg: directories
+/// loaded), recovery_join, recovery_exchange (arg: last-to-fail set),
+/// recovery_fetch (arg: snapshot bytes) and recovery_install, whose arg is
+/// pack() of these counts.
+struct GroupInstallCounts {
+  std::uint16_t kept = 0;        // disk copy current: nothing written
+  std::uint16_t relabelled = 0;  // same rows: only the table block written
+  std::uint16_t written = 0;     // new Bullet file and table block
+  std::uint16_t dropped = 0;     // not in the snapshot: block cleared
+
+  [[nodiscard]] std::uint64_t pack() const {
+    return std::uint64_t{kept} | std::uint64_t{relabelled} << 16 |
+           std::uint64_t{written} << 32 | std::uint64_t{dropped} << 48;
+  }
+  static GroupInstallCounts unpack(std::uint64_t arg) {
+    return {static_cast<std::uint16_t>(arg),
+            static_cast<std::uint16_t>(arg >> 16),
+            static_cast<std::uint16_t>(arg >> 32),
+            static_cast<std::uint16_t>(arg >> 48)};
+  }
+};
+
 /// Latest stats snapshot for the server on `machine` (survives crashes; a
 /// restarted server resets its counters).
 const GroupDirStats& group_dir_stats(net::Machine& machine);

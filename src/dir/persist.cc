@@ -321,8 +321,12 @@ void NvramWriteBack::log_batch(Storage& st,
          nvlog::encode_batch(seqno, subs), tctx);
 }
 
-void NvramWriteBack::flush(Storage& st) {
+void NvramWriteBack::wait_idle() {
   while (flushing_) flush_wq_.wait();
+}
+
+void NvramWriteBack::flush(Storage& st) {
+  wait_idle();
   if (nv_.empty() && delete_seqno_ == 0) return;
   flushing_ = true;
   struct Guard {
@@ -374,6 +378,7 @@ void NvramWriteBack::flusher_loop(Storage& st) {
   while (true) {
     sim.sleep_for(kFlushIdle / 2);
     if (nv_.empty() && delete_seqno_ == 0) continue;
+    if (cfg_.in_recovery != nullptr && *cfg_.in_recovery) continue;
     const bool full = static_cast<double>(nv_.used_bytes()) >
                       kFlushHighWater * static_cast<double>(nv_.capacity());
     const bool idle = sim.now() - *cfg_.last_activity >= kFlushIdle;

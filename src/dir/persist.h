@@ -123,6 +123,9 @@ class NvramWriteBack {
   struct Config {
     std::size_t nvram_bytes = 24 * 1024;
     const sim::Time* last_activity = nullptr;  // server's last client op
+    /// While *in_recovery is set the flusher writes nothing back: recovery
+    /// may install a snapshot that supersedes the log. Null: never held.
+    const bool* in_recovery = nullptr;
     // The server's stats fields and metric the engine bumps.
     std::uint64_t* flushes = nullptr;
     std::uint64_t* cancellations = nullptr;
@@ -154,6 +157,9 @@ class NvramWriteBack {
   /// Write back every object the log mentions and drop the records that
   /// pass covered. Single-flight: a caller arriving mid-pass waits for it.
   void flush(Storage& st);
+
+  /// Return once no flush pass is in flight (one runs at a time).
+  void wait_idle();
 
   /// Drop the whole log: an installed snapshot supersedes it.
   void clear();

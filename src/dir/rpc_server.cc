@@ -242,6 +242,9 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         }
         ctx.stats->intents_received++;
         ++ctx.mx_intents;
+        // An intent is update traffic here too: the NVRAM flusher must not
+        // take the peer for idle while the initiator is busy.
+        ctx.last_client_op = ctx.now();
         traced_cpu(ctx.machine, ctx.opts.cpu_apply, ictx);
         // Store the intentions (update + new seqno) durably, then apply to
         // the RAM state; the disk copy of the directory follows lazily.
@@ -264,8 +267,12 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         (void)ctx.state.apply(dir_request, secret, seqno, &effect);
         ctx.last_seqno = std::max(ctx.last_seqno, seqno);
         if (ctx.wb) {
-          // NVRAM intentions double as the deferred local copy.
-          ctx.wb->log(st, dir_request, secret, seqno, effect, ictx);
+          // NVRAM intentions double as the deferred local copy. Only state
+          // changes are logged: a logged failed append would be what a
+          // later delete_row cancels, leaving the successful one to replay.
+          if (effect.any_change) {
+            ctx.wb->log(st, dir_request, secret, seqno, effect, ictx);
+          }
           if (!obsolete.is_null()) (void)st.bullet.del(obsolete);
           return close(reply_ok());
         }
@@ -412,8 +419,11 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
       reply = ctx.state.apply(req.data, secret, seqno, &effect);
       ctx.last_seqno = seqno;
       if (ctx.wb) {
-        // Local copy deferred: the NVRAM record is the durability.
-        ctx.wb->log(st, req.data, secret, seqno, effect, octx);
+        // Local copy deferred: the NVRAM record is the durability. As at
+        // the peer, only state changes are logged.
+        if (effect.any_change) {
+          ctx.wb->log(st, req.data, secret, seqno, effect, octx);
+        }
       } else {
         for (std::uint32_t obj : effect.touched) {
           retire(st, copy_object(ctx, st, obj, octx));

@@ -19,6 +19,7 @@ namespace amoeba::dir {
 struct DirRow {
   std::string name;
   std::vector<cap::Capability> cols;  // one capability per column
+  bool operator==(const DirRow&) const = default;
 };
 
 struct Directory {

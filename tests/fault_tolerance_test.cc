@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "bullet/bullet.h"
+#include "check/simfuzz.h"
 #include "dir/client.h"
+#include "dir/group_server.h"
+#include "dir/rpc_server.h"
 #include "dir/types.h"
 #include "disk/vdisk.h"
 #include "harness/workload.h"
@@ -93,6 +96,50 @@ struct Driver {
     return last;
   }
 };
+
+/// Crash every directory server at once and restart them together: server
+/// 0 then re-creates the group from its own disk and the others fetch
+/// their state from it.
+void total_restart(Testbed& bed) {
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    bed.cluster().crash(bed.dir_server(i).id());
+  }
+  bed.sim().run_for(sim::msec(300));
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    bed.cluster().restart(bed.dir_server(i).id());
+  }
+}
+
+/// Bullet files held by directory server `i`'s storage machine.
+std::size_t bullet_files(Testbed& bed, int i) {
+  return bed.storage(i)
+      .persistent<bullet::BulletStore>(
+          "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); })
+      .files.size();
+}
+
+/// Every replica's state, fetched over the admin ports.
+std::vector<check::ReplicaState> replica_states(Driver& d) {
+  std::vector<check::ReplicaState> out;
+  d.step([&] {
+    for (int i = 0; i < d.bed.num_dir_servers(); ++i) {
+      auto snap = check::fetch_snapshot(d.bed, *d.rpc, i);
+      ASSERT_TRUE(snap.is_ok()) << "server " << i;
+      auto st = check::ReplicaState::from_snapshot(*snap, d.bed.dir_port());
+      ASSERT_TRUE(st.is_ok());
+      out.push_back(*st);
+    }
+  });
+  return out;
+}
+
+bool has_row(const check::ReplicaState& st, std::uint32_t obj,
+             const std::string& name) {
+  auto it = st.objs.find(obj);
+  if (it == st.objs.end()) return false;
+  return std::any_of(it->second.rows.begin(), it->second.rows.end(),
+                     [&](const auto& row) { return row.first == name; });
+}
 
 bool group_ready(Testbed& bed, std::initializer_list<int> servers) {
   for (int i : servers) {
@@ -535,6 +582,238 @@ TEST(GroupNvram, AppendDeletePairsCancelWithoutDiskWrites) {
   EXPECT_GE(cancels, 3u * 10u);
 }
 
+TEST(GroupNvram, WriteBackBlockLabelsTheRowsItWrote) {
+  // A write-back's table block must carry the seqno of the rows in the
+  // file beside it. Here an update lands while server 0's flusher is
+  // writing the directory's Bullet file. Labelled with that update's
+  // seqno, the block would make the next boot skip the update's NVRAM
+  // record. Server 0 re-creates the group after the total restart, so no
+  // state transfer masks the loss.
+  Testbed bed({.flavor = Flavor::group_nvram, .clients = 1, .seed = 31});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+    // A file of several Bullet blocks: the create takes ~100 ms.
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(d.append_retry(dcap, "r" + std::to_string(i)).is_ok());
+    }
+  });
+  bed.sim().run_for(sim::sec(2));  // idle: every log is written back
+
+  disk::VirtualDisk& disk0 = bed.vdisk(0);
+  const auto block = [&] { return disk0.peek(dcap.object).value_or(Buffer{}); };
+  const Buffer before = block();
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "a").is_ok()); });
+  // Server 0's write-back has begun once its first data block is written.
+  const std::uint64_t writes = disk0.writes();
+  const sim::Time limit = bed.sim().now() + sim::sec(5);
+  while (disk0.writes() == writes && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_GT(disk0.writes(), writes) << "no write-back started";
+  bool b_done = false;
+  d.cm.spawn("b", [&] {
+    EXPECT_TRUE(d.dc->append_row(dcap, "b", {}).is_ok());
+    b_done = true;
+  });
+  // Crash once that write-back has rewritten the table block, before the
+  // next pass writes "b" back.
+  while ((!b_done || block() == before) && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_TRUE(b_done);
+  ASSERT_NE(block(), before) << "write-back did not finish";
+
+  total_restart(bed);
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  const auto states = replica_states(d);
+  ASSERT_EQ(states.size(), 3u);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EXPECT_TRUE(has_row(states[i], dcap.object, "a")) << "server " << i;
+    EXPECT_TRUE(has_row(states[i], dcap.object, "b")) << "server " << i;
+  }
+}
+
+TEST(GroupNvram, ReusedObjectNumberFreesTheOldFile) {
+  // A directory is deleted and another created under its object number
+  // between two write-backs: the write-back of the new one must delete the
+  // file the table block named.
+  Testbed bed({.flavor = Flavor::group_nvram, .clients = 1, .seed = 36});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability first;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    first = *res;
+  });
+  bed.sim().run_for(sim::sec(1));  // idle: written back
+  cap::Capability second;
+  d.step([&] {
+    ASSERT_TRUE(d.dc->delete_dir(first).is_ok());
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    second = *res;
+  });
+  ASSERT_EQ(second.object, first.object);
+  bed.sim().run_for(sim::sec(1));  // idle: written back
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    EXPECT_EQ(bullet_files(bed, i), 1u) << "storage " << i;
+  }
+}
+
+TEST(GroupFault, RestartInstallWritesOnlyChangedDirectories) {
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 33});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  std::vector<cap::Capability> dirs;  // same, cancel, grown, doomed
+  d.step([&] {
+    for (int i = 0; i < 4; ++i) {
+      auto res = d.create_retry();
+      ASSERT_TRUE(res.is_ok());
+      dirs.push_back(*res);
+      ASSERT_TRUE(d.append_retry(*res, "row").is_ok());
+    }
+  });
+  ASSERT_EQ(dirs.size(), 4u);
+
+  bed.cluster().crash(bed.dir_server(2).id());
+  bed.sim().run_for(sim::sec(1));
+  d.step([&] {
+    d.rpc->flush_port_cache(bed.dir_port());
+    ASSERT_TRUE(d.append_retry(dirs[1], "tmp").is_ok());
+    ASSERT_TRUE(d.dc->delete_row(dirs[1], "tmp").is_ok());
+    ASSERT_TRUE(d.append_retry(dirs[2], "new").is_ok());
+    // Created before the deletion, so it does not reuse the doomed slot.
+    ASSERT_TRUE(d.create_retry().is_ok());
+    ASSERT_TRUE(d.dc->delete_dir(dirs[3]).is_ok());
+  });
+  const sim::Time restart = bed.sim().now();
+  bed.cluster().restart(bed.dir_server(2).id());
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+
+  int installs = 0;
+  dir::GroupInstallCounts n;
+  for (const obs::TraceEvent& ev : bed.trace().events()) {
+    if (ev.ts >= restart && ev.pid == bed.dir_server(2).id().v &&
+        std::string(ev.name) == "recovery_install") {
+      ++installs;
+      n = dir::GroupInstallCounts::unpack(ev.arg);
+    }
+  }
+  ASSERT_EQ(installs, 1);
+  EXPECT_EQ(n.kept, 1) << "untouched directory";
+  EXPECT_EQ(n.relabelled, 1) << "append+delete pair: same rows";
+  EXPECT_EQ(n.written, 2) << "grown and freshly created directories";
+  EXPECT_EQ(n.dropped, 1) << "directory deleted while down";
+  EXPECT_EQ(bullet_files(bed, 2), 4u);  // same, cancel, grown, fresh
+
+  // The relabelled directory reads back from the kept file.
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  d.step([&] {
+    d.rpc->flush_port_cache(bed.dir_port());
+    EXPECT_TRUE(d.lookup_retry(dirs[1], "row").is_ok());
+    EXPECT_EQ(d.lookup_retry(dirs[1], "tmp").code(), Errc::not_found);
+    EXPECT_TRUE(d.lookup_retry(dirs[2], "new").is_ok());
+  });
+}
+
+TEST(GroupFault, RestartsLeaveOneBulletFilePerDirectory) {
+  for (Flavor f : {Flavor::group, Flavor::group_nvram}) {
+    SCOPED_TRACE(flavor_name(f));
+    Testbed bed({.flavor = f, .clients = 1, .seed = 32});
+    ASSERT_TRUE(bed.wait_ready());
+    Driver d(bed);
+    std::vector<cap::Capability> dirs;
+    d.step([&] {
+      for (int i = 0; i < 4; ++i) {
+        auto res = d.create_retry();
+        ASSERT_TRUE(res.is_ok());
+        dirs.push_back(*res);
+        ASSERT_TRUE(d.append_retry(*res, "row").is_ok());
+      }
+    });
+    ASSERT_EQ(dirs.size(), 4u);
+    for (int round = 0; round < 6; ++round) {
+      const int victim = round % 3;
+      bed.cluster().crash(bed.dir_server(victim).id());
+      bed.sim().run_for(sim::sec(1));
+      d.step([&] {
+        d.rpc->flush_port_cache(bed.dir_port());
+        const std::string name = "x" + std::to_string(round);
+        ASSERT_TRUE(d.append_retry(dirs[round % 4], name).is_ok());
+      });
+      bed.cluster().restart(bed.dir_server(victim).id());
+      run_until_ready(bed, {0, 1, 2});
+      ASSERT_TRUE(group_ready(bed, {0, 1, 2})) << "round " << round;
+    }
+    bed.sim().run_for(sim::sec(2));  // idle: NVRAM logs written back
+    for (int i = 0; i < bed.num_dir_servers(); ++i) {
+      EXPECT_EQ(bullet_files(bed, i), dirs.size()) << "storage " << i;
+    }
+  }
+}
+
+TEST(GroupFault, DirectoryDeletedWhileDownStaysDeleted) {
+  // Server 0 misses the deletion and installs a snapshot without the
+  // directory. After a total restart it re-creates the group from its own
+  // disk, so a table block the install left behind would bring the
+  // directory back on every replica.
+  for (Flavor f : {Flavor::group, Flavor::group_nvram}) {
+    SCOPED_TRACE(flavor_name(f));
+    Testbed bed({.flavor = f, .clients = 1, .seed = 34});
+    ASSERT_TRUE(bed.wait_ready());
+    Driver d(bed);
+    cap::Capability keep;
+    cap::Capability doomed;
+    d.step([&] {
+      auto k = d.create_retry();
+      auto g = d.create_retry();
+      ASSERT_TRUE(k.is_ok() && g.is_ok());
+      keep = *k;
+      doomed = *g;
+      ASSERT_TRUE(d.append_retry(doomed, "row").is_ok());
+    });
+    bed.sim().run_for(sim::sec(1));  // idle: NVRAM logs written back
+
+    bed.cluster().crash(bed.dir_server(0).id());
+    bed.sim().run_for(sim::sec(1));
+    d.step([&] {
+      d.rpc->flush_port_cache(bed.dir_port());
+      Status st = Status::error(Errc::internal, "unset");
+      for (int i = 0; i < 40 && !st.is_ok() && st.code() != Errc::not_found;
+           ++i) {
+        st = d.dc->delete_dir(doomed);
+        if (!st.is_ok()) bed.sim().sleep_for(sim::msec(150));
+      }
+      ASSERT_TRUE(st.is_ok() || st.code() == Errc::not_found)
+          << st.to_string();
+    });
+    bed.cluster().restart(bed.dir_server(0).id());
+    run_until_ready(bed, {0, 1, 2});
+    ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+    bed.sim().run_for(sim::sec(1));
+
+    total_restart(bed);
+    run_until_ready(bed, {0, 1, 2});
+    ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+    const auto states = replica_states(d);
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      EXPECT_TRUE(states[i].objs.contains(keep.object)) << "server " << i;
+      EXPECT_FALSE(states[i].objs.contains(doomed.object)) << "server " << i;
+    }
+    bed.sim().run_for(sim::sec(1));
+    EXPECT_EQ(bullet_files(bed, 0), 1u) << "only the kept directory's file";
+  }
+}
+
 TEST(RpcFault, DivergesUnderPartitionUnlikeGroup) {
   // The RPC service assumes partitions never happen (Sec. 1). Partition the
   // two servers, update through one side, read stale data through the
@@ -610,6 +889,58 @@ TEST(RpcNvram, FasterUpdatesThanPlainRpc) {
   EXPECT_LT(nv * 3, plain) << "plain=" << plain << "ms nvram=" << nv << "ms";
 }
 
+TEST(RpcNvram, DeleteAfterFailedAppendSurvivesRestart) {
+  // Only state changes enter the NVRAM log. Were the failed append logged,
+  // the delete_row would cancel it, and replaying the successful append
+  // after a restart would bring the row back.
+  Testbed bed({.flavor = Flavor::rpc_nvram, .clients = 1, .seed = 35});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+  });
+  bed.sim().run_for(sim::sec(1));  // idle: the create is written back
+  d.step([&] {
+    cap::Capability v;
+    v.object = 7;
+    ASSERT_TRUE(d.dc->append_row(dcap, "k", {v}).is_ok());
+    ASSERT_EQ(d.dc->append_row(dcap, "k", {v}).code(), Errc::exists);
+    ASSERT_TRUE(d.dc->delete_row(dcap, "k").is_ok());
+  });
+  // Both servers go down before an idle flush writes the log back.
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    bed.cluster().crash(bed.dir_server(i).id());
+  }
+  bed.sim().run_for(sim::msec(300));
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    bed.cluster().restart(bed.dir_server(i).id());
+  }
+  bed.sim().run_for(sim::sec(2));
+  d.step([&] {
+    d.rpc->flush_port_cache(bed.dir_port());
+    EXPECT_EQ(d.lookup_retry(dcap, "k").code(), Errc::not_found);
+  });
+}
+
+TEST(RpcNvram, PeerFlushesAboutAsOftenAsInitiator) {
+  // Intents are update traffic at the peer: its NVRAM flusher must not
+  // take the time it spends handling them for idle time.
+  Testbed bed({.flavor = Flavor::rpc_nvram, .clients = 1, .seed = 1});
+  ASSERT_TRUE(bed.wait_ready());
+  const ThroughputResult r = append_throughput(bed, sim::sec(1), sim::sec(4));
+  ASSERT_TRUE(r.ok);
+  const dir::RpcDirStats& s0 = dir::rpc_dir_stats(bed.dir_server(0));
+  const dir::RpcDirStats& s1 = dir::rpc_dir_stats(bed.dir_server(1));
+  const dir::RpcDirStats& init = s0.writes >= s1.writes ? s0 : s1;
+  const dir::RpcDirStats& peer = s0.writes >= s1.writes ? s1 : s0;
+  ASSERT_GT(peer.intents_received, 0u);
+  EXPECT_LE(peer.flushes, 2 * std::max<std::uint64_t>(init.flushes, 1))
+      << "initiator " << init.flushes << ", peer " << peer.flushes;
+}
+
 TEST(RpcFault, PeerCrashDoesNotStopService) {
   Testbed bed({.flavor = Flavor::rpc, .clients = 1, .seed = 23});
   ASSERT_TRUE(bed.wait_ready());
@@ -647,10 +978,7 @@ TEST(GroupFault, OldBulletFilesGarbageCollected) {
   // Each storage machine should hold roughly one bullet file per live
   // directory, not one per update.
   for (int i = 0; i < 3; ++i) {
-    auto& store = bed.storage(i).persistent<bullet::BulletStore>(
-        "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); });
-    EXPECT_LE(store.files.size(), 3u)
-        << "bullet files leak on storage " << i;
+    EXPECT_LE(bullet_files(bed, i), 3u) << "bullet files leak on storage " << i;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "check/client_driver.h"
 #include "check/nemesis.h"
 #include "dir/client.h"
+#include "dir/group_server.h"
 #include "harness/workload.h"
 #include "obs/critical_path.h"
 #include "obs/slo.h"
@@ -341,11 +342,77 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
   appendf(out, "\n");
 }
 
+/// Print the "dir.group" events recorded since `since` — view changes,
+/// each recovery phase (load, join, last-to-fail exchange, snapshot fetch,
+/// install with what it wrote), the first client op served afterwards —
+/// in time order, with offsets from `since`. `only`, when set, keeps one
+/// server's events.
+void append_timeline(std::string& out, harness::Testbed& bed, sim::Time since,
+                     const net::Machine* only = nullptr) {
+  note_dropped(out, bed.trace());
+  struct Entry {
+    sim::Time at;
+    std::string text;
+  };
+  std::vector<Entry> entries;
+  for (const obs::TraceEvent& ev : bed.trace().events()) {
+    if (std::strcmp(ev.cat, "dir.group") != 0 || ev.ts < since) continue;
+    if (only != nullptr && ev.pid != only->id().v) continue;
+    std::string text;
+    const auto pid = static_cast<unsigned long long>(ev.pid);
+    const auto arg = static_cast<unsigned long long>(ev.arg);
+    if (ev.dur < 0) {
+      appendf(text, "dir@m%-3llu %-22s", pid, ev.name);
+      if (std::strcmp(ev.name, "view_change") == 0) {
+        appendf(text, " seq=%llu", arg);
+      }
+      entries.push_back({ev.ts, std::move(text)});
+      continue;
+    }
+    // Spans: the recovery and its phases, placed at their end.
+    const bool whole = std::strcmp(ev.name, "recovery") == 0;
+    if (!whole && std::strncmp(ev.name, "recovery_", 9) != 0) continue;
+    appendf(text, "dir@m%-3llu %-22s took %.1f ms", pid,
+            whole ? "recovery_done" : ev.name, ms(ev.dur));
+    if (std::strcmp(ev.name, "recovery_load") == 0) {
+      appendf(text, ", %llu dirs", arg);
+    } else if (std::strcmp(ev.name, "recovery_exchange") == 0) {
+      appendf(text, ", last-to-fail set 0x%llx", arg);
+    } else if (std::strcmp(ev.name, "recovery_fetch") == 0) {
+      appendf(text, ", %llu bytes", arg);
+    } else if (std::strcmp(ev.name, "recovery_install") == 0) {
+      const auto n = dir::GroupInstallCounts::unpack(ev.arg);
+      appendf(text, ", kept %u relabelled %u written %u dropped %u",
+              unsigned{n.kept}, unsigned{n.relabelled}, unsigned{n.written},
+              unsigned{n.dropped});
+    }
+    entries.push_back({ev.ts + ev.dur, std::move(text)});
+  }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.at < b.at; });
+  for (const Entry& e : entries) {
+    appendf(out, "  t=%10.1f ms  +%8.1f ms  %s\n", ms(e.at),
+            ms(e.at - since), e.text.c_str());
+  }
+  appendf(out, "\n");
+}
+
+/// Wait (up to 120 s) until no directory server is recovering.
+void await_recovered(harness::Testbed& bed) {
+  const sim::Time deadline = bed.sim().now() + sim::sec(120);
+  while (bed.sim().now() < deadline) {
+    bool all = true;
+    for (int i = 0; i < bed.num_dir_servers(); ++i) {
+      all = all && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
+    }
+    if (all) break;
+    bed.sim().run_for(sim::msec(200));
+  }
+}
+
 /// Crash the whole group mid-workload — staggered, so a definite
 /// last-to-fail exists and the early casualties restart with stale state —
-/// then restart everyone and print the recovery timeline from the
-/// "dir.group" instant events: view changes, last-to-fail resolution,
-/// snapshot state transfer, and the first client op served afterwards.
+/// then restart everyone and print the recovery timeline.
 void run_recovery(std::uint64_t seed, std::string& out) {
   harness::Testbed bed(
       {.flavor = harness::Flavor::group, .clients = 1, .seed = seed});
@@ -379,15 +446,7 @@ void run_recovery(std::uint64_t seed, std::string& out) {
   }
   bed.sim().run_for(sim::sec(1));
   for (int i = 0; i < 3; ++i) bed.cluster().restart(bed.dir_server(i).id());
-  const sim::Time deadline = bed.sim().now() + sim::sec(120);
-  while (bed.sim().now() < deadline) {
-    bool all = true;
-    for (int i = 0; i < 3; ++i) {
-      all = all && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-    }
-    if (all) break;
-    bed.sim().run_for(sim::msec(200));
-  }
+  await_recovered(bed);
   bed.sim().run_for(sim::sec(5));  // let the client land the first op
   stop = true;
   bed.sim().run_for(sim::sec(2));
@@ -396,41 +455,77 @@ void run_recovery(std::uint64_t seed, std::string& out) {
           "--- recovery timeline: staggered full-group crash at t=%.1f ms "
           "---\n",
           ms(crash_at));
-  note_dropped(out, bed.trace());
-  struct Entry {
-    sim::Time at;
-    std::string text;
-  };
-  std::vector<Entry> entries;
-  for (const obs::TraceEvent& ev : bed.trace().events()) {
-    if (std::strcmp(ev.cat, "dir.group") != 0 || ev.ts < crash_at) continue;
-    std::string text;
-    if (ev.dur < 0) {
-      appendf(text, "dir@m%-3llu %-22s",
-              static_cast<unsigned long long>(ev.pid), ev.name);
-      if (std::strcmp(ev.name, "state_transfer") == 0) {
-        appendf(text, " %llu bytes", static_cast<unsigned long long>(ev.arg));
-      } else if (std::strcmp(ev.name, "view_change") == 0 ||
-                 std::strcmp(ev.name, "last_to_fail_resolved") == 0) {
-        appendf(text, " seq=%llu", static_cast<unsigned long long>(ev.arg));
+  append_timeline(out, bed, crash_at);
+}
+
+/// Restart one group+NVRAM replica that missed 4 s of row churn over 16
+/// directories of 128 rows, and print its recovery phases: where a single
+/// restart spends its time, and how much of the state transfer the
+/// install had to write.
+void run_replica_restart(std::uint64_t seed, std::string& out) {
+  constexpr int kDirs = 16;
+  constexpr int kRows = 128;
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group_nvram, .clients = 1, .seed = seed});
+  if (!bed.wait_ready()) {
+    appendf(out, "--- replica restart: service never became ready ---\n");
+    return;
+  }
+  bed.trace().set_recording(false);  // only the restart is reported
+  bool populated = false;
+  bool stop = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("churn", [&] {
+    rpc::RpcClient rpc(cm);
+    dir::DirClient dc(rpc, bed.dir_port());
+    std::vector<cap::Capability> dirs;
+    cap::Capability value;
+    value.object = 1;
+    for (int d = 0; d < kDirs; ++d) {
+      const auto dcap = harness::make_dir_retry(dc, bed.sim(), {"c"});
+      if (!dcap.is_ok()) return;
+      dirs.push_back(*dcap);
+      for (int r = 0; r < kRows; ++r) {
+        (void)dc.append_row(*dcap, "r" + std::to_string(r), {value});
       }
-      entries.push_back({ev.ts, std::move(text)});
-    } else if (std::strcmp(ev.name, "recovery") == 0) {
-      // The begin instant is recorded separately; place the completion at
-      // the end of the span.
-      appendf(text, "dir@m%-3llu %-22s took %.1f ms",
-              static_cast<unsigned long long>(ev.pid), "recovery_done",
-              ms(ev.dur));
-      entries.push_back({ev.ts + ev.dur, std::move(text)});
     }
+    populated = true;
+    // Append/delete pairs: the rows end where they began, the seqnos move.
+    for (int i = 0; !stop; ++i) {
+      const cap::Capability& d = dirs[static_cast<std::size_t>(i % kDirs)];
+      if (!dc.append_row(d, "t", {value}).is_ok() ||
+          !dc.delete_row(d, "t").is_ok()) {
+        rpc.flush_port_cache(bed.dir_port());
+        bed.sim().sleep_for(sim::msec(100));
+      }
+      bed.sim().sleep_for(sim::msec(20));
+    }
+  });
+  for (int i = 0; i < 600 && !populated; ++i) bed.sim().run_for(sim::sec(1));
+  if (!populated) {
+    appendf(out, "--- replica restart: directories never populated ---\n");
+    return;
   }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.at < b.at; });
-  for (const Entry& e : entries) {
-    appendf(out, "  t=%10.1f ms  +%8.1f ms  %s\n", ms(e.at),
-            ms(e.at - crash_at), e.text.c_str());
-  }
-  appendf(out, "\n");
+  bed.sim().run_for(sim::sec(2));
+
+  net::Machine& victim = bed.dir_server(bed.num_dir_servers() - 1);
+  bed.trace().set_recording(true);
+  bed.cluster().crash(victim.id());
+  bed.sim().run_for(sim::sec(4));
+  const sim::Time restart_at = bed.sim().now();
+  bed.cluster().restart(victim.id());
+  bed.sim().run_for(sim::msec(10));  // the restarted server resets its stats
+  await_recovered(bed);
+  bed.sim().run_for(sim::sec(1));
+  stop = true;
+  bed.sim().run_for(sim::sec(1));
+
+  appendf(out,
+          "--- recovery timeline: one group+NVRAM replica (dir@m%u) "
+          "restarted at t=%.1f ms after 4 s down, %d directories x %d rows "
+          "---\n",
+          victim.id().v, ms(restart_at), kDirs, kRows);
+  append_timeline(out, bed, restart_at, &victim);
 }
 
 /// --slo: availability scoring. One fresh group+NVRAM testbed per nemesis
@@ -755,6 +850,7 @@ int main(int argc, char** argv) {
     }
     run_lease_batch(seed, out);
     run_recovery(seed, out);
+    run_replica_restart(seed, out);
   }
 
   std::fwrite(out.data(), 1, out.size(), stdout);
