@@ -7,6 +7,7 @@
 #include "common/log.h"
 #include "dir/persist.h"
 #include "dir/proto.h"
+#include "dir/serve.h"
 #include "sim/waitq.h"
 
 namespace amoeba::dir {
@@ -68,16 +69,12 @@ struct ServerCtx {
 
   // Hot-path counter handles, interned once at construction so the request
   // loops never hash a metric name.
-  obs::Counter& mx_reads;
-  obs::Counter& mx_writes;
   obs::Counter& mx_applies;
   obs::Counter& mx_refused;
   obs::Counter& mx_flushes;
   obs::Counter& mx_lease_grants;
   obs::Counter& mx_lease_invals;
   obs::Counter& mx_group_commits;
-  obs::Hist& mx_read_ms;
-  obs::Hist& mx_write_ms;
 
   ServerCtx(Machine& m, GroupDirOptions o, int idx)
       : machine(m),
@@ -86,16 +83,12 @@ struct ServerCtx {
         state(opts.dir_port),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
-        mx_reads(m.metrics().counter("dir.group", "reads")),
-        mx_writes(m.metrics().counter("dir.group", "writes")),
         mx_applies(m.metrics().counter("dir.group", "applies")),
         mx_refused(m.metrics().counter("dir.group", "refused_no_majority")),
         mx_flushes(m.metrics().counter("dir.group", "flushes")),
         mx_lease_grants(m.metrics().counter("dir.group", "lease_grants")),
         mx_lease_invals(m.metrics().counter("dir.group", "lease_invals")),
-        mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")),
-        mx_read_ms(m.metrics().histogram("dir.group", "read_ms")),
-        mx_write_ms(m.metrics().histogram("dir.group", "write_ms")) {}
+        mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
@@ -111,18 +104,7 @@ struct ServerCtx {
     return gi.state == group::MemberState::normal &&
            2 * static_cast<int>(gi.members.size()) > nservers();
   }
-  [[nodiscard]] int index_of(MachineId m) const {
-    for (int i = 0; i < nservers(); ++i) {
-      if (opts.dir_servers[static_cast<std::size_t>(i)] == m) return i;
-    }
-    return -1;
-  }
 };
-
-Port admin_port(const ServerCtx& ctx, int index) {
-  return Port{ctx.opts.admin_port_base.v +
-              ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
 
 // --------------------------------------------------------- persistence
 
@@ -458,7 +440,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
       preq.u8(static_cast<std::uint8_t>(AdminOp::exchange));
       for (int idx = 0; idx < ctx.nservers(); ++idx) {
         if (idx == ctx.my_index) continue;
-        auto res = st.rpc.trans(admin_port(ctx, idx), preq.view(),
+        auto res = st.rpc.trans(admin_port(ctx.opts, idx), preq.view(),
                                 {.timeout = sim::msec(200)});
         if (!res.is_ok()) continue;
         try {
@@ -507,9 +489,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
   Writer req;
   req.u8(static_cast<std::uint8_t>(AdminOp::exchange));
   for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
+    const int idx = replica_index(ctx.opts.dir_servers, m);
     if (idx < 0 || idx == ctx.my_index) continue;
-    auto res = st.rpc.trans(admin_port(ctx, idx), req.view(),
+    auto res = st.rpc.trans(admin_port(ctx.opts, idx), req.view(),
                             {.timeout = sim::msec(500)});
     if (!res.is_ok()) continue;
     try {
@@ -597,7 +579,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     bool installed = false;
     const sim::Time fetch_deadline = ctx.now() + sim::sec(2);
     do {
-      auto res = st.rpc.trans(admin_port(ctx, donor), freq.view(),
+      auto res = st.rpc.trans(admin_port(ctx.opts, donor), freq.view(),
                               {.timeout = sim::sec(5)});
       if (!res.is_ok()) break;
       try {
@@ -654,7 +636,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
   // Also include any current group members beyond the exchange set (they
   // were listed in the group view).
   for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
+    const int idx = replica_index(ctx.opts.dir_servers, m);
     if (idx >= 0) ctx.cblock.set_up(idx, true);
   }
   ctx.cblock.recovering = false;
@@ -691,7 +673,7 @@ void update_config_from_group(ServerCtx& ctx, Storage& st) {
   if (!ctx.majority()) return;  // config only tracks majority configurations
   std::uint32_t cfgmask = 0;
   for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
+    const int idx = replica_index(ctx.opts.dir_servers, m);
     if (idx >= 0) cfgmask |= (1u << idx);
   }
   ctx.cblock.config = cfgmask;
@@ -952,78 +934,44 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
   }
 }
 
-void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
-  obs::Trace& tr = ctx.machine.trace();
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree; put_reply threads it
-    // on to the reply wire span.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.now() - op_t0, "dir.group", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    const auto note_served = [&] {
-      if (!ctx.served_since_recovery) {
-        ctx.served_since_recovery = true;
-        tr.instant(ctx.now(), "dir.group", "first_op_served",
-                   ctx.machine.id().v, 0, octx.trace);
-      }
-    };
-    const bool rd = is_read_op(*op_res);
-    traced_cpu(ctx.machine, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
-    ctx.last_client_op = ctx.now();
+/// One client op at this server, the initiator (Fig. 5): refuse it
+/// without a majority, serve a read behind the buffered-messages barrier,
+/// or order an update through the group and wait until it is applied here.
+Handled handle_op(ServerCtx& ctx, const rpc::IncomingRequest& req, DirOp op,
+                  obs::TraceContext octx) {
+  ctx.last_client_op = ctx.now();
 
-    // "if (!majority()) return failure" — Fig. 5.
-    if (ctx.in_recovery || !ctx.majority()) {
-      ctx.stats->refused_no_majority++;
-      ++ctx.mx_refused;
-      close_op("refused");
-      server.put_reply(req, reply_error(Errc::no_majority), octx);
-      continue;
-    }
+  // "if (!majority()) return failure" — Fig. 5.
+  if (ctx.in_recovery || !ctx.majority()) {
+    ctx.stats->refused_no_majority++;
+    ++ctx.mx_refused;
+    return {reply_error(Errc::no_majority), "refused", false};
+  }
 
-    if (rd) {
-      // Buffered-messages barrier: before reading, apply everything the
-      // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
-      if (!ctx.opts.debug_skip_read_barrier) {
-        const std::uint64_t target = ctx.gm->info().known_latest;
-        const sim::Time deadline = ctx.now() + ctx.opts.read_barrier_timeout;
-        while (ctx.applied_seqno < target && ctx.now() < deadline &&
-               !ctx.in_recovery) {
-          ctx.applied_wq.wait_until(deadline);
-        }
-        if (ctx.applied_seqno < target) {
-          close_op("read");
-          server.put_reply(req, reply_error(Errc::refused), octx);
-          continue;
-        }
+  const bool rd = is_read_op(op);
+  const char* name = rd ? "read" : "write";
+  Buffer reply;
+  if (rd) {
+    // Buffered-messages barrier: before reading, apply everything the
+    // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
+    if (!ctx.opts.debug_skip_read_barrier) {
+      const std::uint64_t target = ctx.gm->info().known_latest;
+      const sim::Time deadline = ctx.now() + ctx.opts.read_barrier_timeout;
+      while (ctx.applied_seqno < target && ctx.now() < deadline &&
+             !ctx.in_recovery) {
+        ctx.applied_wq.wait_until(deadline);
       }
-      Buffer reply = ctx.state.execute_read(req.data);
-      if (ctx.opts.lease_caching && *op_res == DirOp::lookup_set) {
-        grant_leases(ctx, req, reply);
+      if (ctx.applied_seqno < target) {
+        return {reply_error(Errc::refused), name, false};
       }
-      ctx.stats->reads++;
-      ++ctx.mx_reads;
-      ctx.mx_read_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      note_served();
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
     }
-
-    // Write: generate the check field here so all replicas agree (Sec. 3.1),
-    // broadcast, and wait for the group thread to execute the request.
+    reply = ctx.state.execute_read(req.data);
+    if (ctx.opts.lease_caching && op == DirOp::lookup_set) {
+      grant_leases(ctx, req, reply);
+    }
+  } else {
+    // Write: generate the check field here so all replicas agree
+    // (Sec. 3.1), broadcast, and wait for the group thread to execute it.
     const std::uint64_t opid = ctx.next_opid++;
     const std::uint64_t secret = ctx.sim().rng().next();
     Writer w;
@@ -1032,12 +980,9 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
     w.bytes(req.data);
     Status st = ctx.gm->send_to_group(w.take(), octx);
     if (!st.is_ok()) {
-      close_op("write");
-      server.put_reply(req, reply_error(st.code() == Errc::group_failure
-                                            ? Errc::no_majority
-                                            : st.code()),
-                       octx);
-      continue;
+      return {reply_error(st.code() == Errc::group_failure ? Errc::no_majority
+                                                           : st.code()),
+              name, false};
     }
     const sim::Time deadline = ctx.now() + sim::sec(3);
     while (!ctx.completions.contains(opid) && ctx.now() < deadline) {
@@ -1045,26 +990,21 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
     }
     auto it = ctx.completions.find(opid);
     if (it == ctx.completions.end()) {
-      close_op("write");
-      server.put_reply(req, reply_error(Errc::timeout), octx);
-      continue;
+      return {reply_error(Errc::timeout), name, false};
     }
-    Buffer reply = std::move(it->second);
+    reply = std::move(it->second);
     ctx.completions.erase(it);
-    ctx.stats->writes++;
-    ++ctx.mx_writes;
-    ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-    note_served();
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
   }
+  if (!ctx.served_since_recovery) {
+    ctx.served_since_recovery = true;
+    ctx.machine.trace().instant(ctx.now(), "dir.group", "first_op_served",
+                                ctx.machine.id().v, 0, octx.trace);
+  }
+  return {std::move(reply), name, true};
 }
 
 void service_main(Machine& machine, GroupDirOptions opts) {
-  int my_index = -1;
-  for (std::size_t i = 0; i < opts.dir_servers.size(); ++i) {
-    if (opts.dir_servers[i] == machine.id()) my_index = static_cast<int>(i);
-  }
+  const int my_index = replica_index(opts.dir_servers, machine.id());
   if (my_index < 0) {
     LOG_ERROR << machine.name() << " not in dir_servers";
     return;
@@ -1111,7 +1051,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
 
   // Admin service (recovery RPCs) — available even while recovering.
   auto admin = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx, ctx.my_index));
+      machine, admin_port(ctx.opts, ctx.my_index));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("dir.admin" + std::to_string(i), [&ctx, admin] {
       while (true) {
@@ -1124,8 +1064,14 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   // Client-facing initiator threads.
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   for (int i = 0; i < ctx.opts.server_threads; ++i) {
-    machine.spawn("dir.svr" + std::to_string(i),
-                  [&ctx, server] { initiator_loop(ctx, *server); });
+    machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
+      serve_loop(ctx.machine, *server, "dir.group", ctx.opts.cpu_read,
+                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+                 [&ctx](const rpc::IncomingRequest& req, DirOp op,
+                        obs::TraceContext octx) {
+                   return handle_op(ctx, req, op, octx);
+                 });
+    });
   }
 
   if (ctx.wb) {

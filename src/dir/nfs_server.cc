@@ -5,6 +5,7 @@
 #include "bullet/bullet.h"
 #include "common/log.h"
 #include "dir/proto.h"
+#include "dir/serve.h"
 #include "disk/vdisk.h"
 #include "rpc/rpc.h"
 
@@ -34,61 +35,24 @@ struct NfsCtx {
       : machine(m), opts(std::move(o)), state(opts.dir_port) {}
 };
 
-void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
-  obs::Metrics& mx = ctx.machine.metrics();
-  obs::Trace& tr = ctx.machine.trace();
-  obs::Counter& mx_reads = mx.counter("dir.nfs", "reads");
-  obs::Counter& mx_writes = mx.counter("dir.nfs", "writes");
-  obs::Hist& mx_read_ms = mx.histogram("dir.nfs", "read_ms");
-  obs::Hist& mx_write_ms = mx.histogram("dir.nfs", "write_ms");
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.machine.sim().now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.machine.sim().now() - op_t0, "dir.nfs", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    if (is_read_op(*op_res)) {
-      traced_cpu(ctx.machine, ctx.opts.cpu_read, octx);
-      Buffer reply = ctx.state.execute_read(req.data);
-      ctx.stats->reads++;
-      ++mx_reads;
-      mx_read_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
-    }
-    traced_cpu(ctx.machine, ctx.opts.cpu_write, octx);
-    DirState::ApplyEffect effect;
-    const std::uint64_t secret = ctx.machine.sim().rng().next();
-    Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);
-    if (effect.any_change) {
-      // One synchronous metadata write, as SunOS does for directories.
-      std::uint32_t block =
-          effect.touched.empty()
-              ? (effect.deleted.empty() ? 0 : effect.deleted.front())
-              : effect.touched.front();
-      Directory* d =
-          effect.touched.empty() ? nullptr : ctx.state.directory(block);
-      (void)ctx.disk->write_block(block, d ? d->serialize() : Buffer{}, octx);
-    }
-    ctx.stats->writes++;
-    ++mx_writes;
-    mx_write_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
+/// One client op: a read from the RAM state, or an apply plus one
+/// synchronous metadata write, as SunOS does for directories.
+Handled handle_op(NfsCtx& ctx, const rpc::IncomingRequest& req, DirOp op,
+                  obs::TraceContext octx) {
+  if (is_read_op(op)) return {ctx.state.execute_read(req.data), "read", true};
+  DirState::ApplyEffect effect;
+  const std::uint64_t secret = ctx.machine.sim().rng().next();
+  Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);
+  if (effect.any_change) {
+    std::uint32_t block =
+        effect.touched.empty()
+            ? (effect.deleted.empty() ? 0 : effect.deleted.front())
+            : effect.touched.front();
+    Directory* d =
+        effect.touched.empty() ? nullptr : ctx.state.directory(block);
+    (void)ctx.disk->write_block(block, d ? d->serialize() : Buffer{}, octx);
   }
+  return {std::move(reply), "write", true};
 }
 
 void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
@@ -177,8 +141,14 @@ void service_main(Machine& machine, NfsDirOptions opts) {
   auto file_srv =
       std::make_shared<rpc::RpcServer>(machine, ctx.opts.file_port);
   for (int i = 0; i < ctx.opts.server_threads; ++i) {
-    machine.spawn("nfs.dir" + std::to_string(i),
-                  [&ctx, dir_srv] { dir_loop(ctx, *dir_srv); });
+    machine.spawn("nfs.dir" + std::to_string(i), [&ctx, dir_srv] {
+      serve_loop(ctx.machine, *dir_srv, "dir.nfs", ctx.opts.cpu_read,
+                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+                 [&ctx](const rpc::IncomingRequest& req, DirOp op,
+                        obs::TraceContext octx) {
+                   return handle_op(ctx, req, op, octx);
+                 });
+    });
   }
   for (int i = 0; i < 2; ++i) {
     machine.spawn("nfs.file" + std::to_string(i),

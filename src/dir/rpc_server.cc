@@ -7,6 +7,7 @@
 #include "common/log.h"
 #include "dir/persist.h"
 #include "dir/proto.h"
+#include "dir/serve.h"
 #include "sim/waitq.h"
 
 namespace amoeba::dir {
@@ -14,8 +15,6 @@ namespace amoeba::dir {
 namespace {
 
 using net::Machine;
-using net::MachineId;
-using net::Port;
 
 using PeerOp = RpcPeerOp;
 using nvlog::request_target;
@@ -54,13 +53,9 @@ struct RpcServerCtx {
 
   // Hot-path counter handles, interned once at construction so the request
   // loops never hash a metric name.
-  obs::Counter& mx_reads;
-  obs::Counter& mx_writes;
   obs::Counter& mx_intents;
   obs::Counter& mx_conflicts;
   obs::Counter& mx_flushes;
-  obs::Hist& mx_read_ms;
-  obs::Hist& mx_write_ms;
 
   RpcServerCtx(Machine& m, RpcDirOptions o, int idx)
       : machine(m),
@@ -70,13 +65,9 @@ struct RpcServerCtx {
         state(opts.dir_port),
         lock_wq(m.sim()),
         lazy_wq(m.sim()),
-        mx_reads(m.metrics().counter("dir.rpc", "reads")),
-        mx_writes(m.metrics().counter("dir.rpc", "writes")),
         mx_intents(m.metrics().counter("dir.rpc", "intents_received")),
         mx_conflicts(m.metrics().counter("dir.rpc", "conflicts")),
-        mx_flushes(m.metrics().counter("dir.rpc", "flushes")),
-        mx_read_ms(m.metrics().histogram("dir.rpc", "read_ms")),
-        mx_write_ms(m.metrics().histogram("dir.rpc", "write_ms")) {}
+        mx_flushes(m.metrics().counter("dir.rpc", "flushes")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
@@ -126,11 +117,6 @@ struct RpcServerCtx {
     ~Unlock() { c->unlock(); }
   };
 };
-
-Port admin_port(const RpcServerCtx& ctx, int index) {
-  return Port{ctx.opts.admin_port_base.v +
-              ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
 
 /// Self-describing on-disk form of a directory: object number, check
 /// secret, contents (which already embed the seqno).
@@ -318,128 +304,88 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
 
 bool sync_with_peer(RpcServerCtx& ctx, Storage& st);
 
-void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
-  Storage st(ctx);
-  obs::Trace& tr = ctx.machine.trace();
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree; put_reply threads it
-    // on to the reply wire span.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.now() - op_t0, "dir.rpc", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    const bool rd = is_read_op(*op_res);
-    traced_cpu(ctx.machine, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
-    ctx.last_client_op = ctx.now();
+/// One client op at this server: a read from the RAM state, or an update
+/// serialized here, acked as an intention by the peer, then applied.
+Handled handle_op(RpcServerCtx& ctx, Storage& st,
+                  const rpc::IncomingRequest& req, DirOp op,
+                  obs::TraceContext octx) {
+  ctx.last_client_op = ctx.now();
+  if (is_read_op(op)) return {ctx.state.execute_read(req.data), "read", true};
 
-    if (rd) {
-      Buffer reply = ctx.state.execute_read(req.data);
-      ctx.stats->reads++;
-      ++ctx.mx_reads;
-      ctx.mx_read_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
-    }
+  // Update: serialize locally, get the peer's intentions ack, apply.
+  for (int attempt = 0; attempt <= ctx.opts.update_retries; ++attempt) {
+    ctx.lock_traced(octx);
+    const std::uint64_t seqno = ctx.last_seqno + 1;
+    const std::uint64_t secret = ctx.sim().rng().next();
 
-    // Update: serialize locally, get the peer's intentions ack, apply.
-    Buffer reply;
-    bool done = false;
-    for (int attempt = 0; attempt <= ctx.opts.update_retries && !done;
-         ++attempt) {
-      ctx.lock_traced(octx);
-      const std::uint64_t seqno = ctx.last_seqno + 1;
-      const std::uint64_t secret = ctx.sim().rng().next();
-
-      Status peer_st = Status::ok();
-      if (!ctx.peer_down) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(PeerOp::intent));
-        w.u64(seqno);
-        w.u64(secret);
-        w.bytes(req.data);
-        auto res = st.rpc.trans(
-            admin_port(ctx, ctx.peer_index), w.take(),
-            {.timeout = ctx.opts.peer_timeout}, octx);
-        if (res.is_ok()) {
-          peer_st = reply_status(*res);
-        } else {
-          // Peer unreachable: carry on alone (no partition tolerance).
-          ctx.peer_down = true;
-          ctx.stats->peer_down_writes++;
-        }
+    Status peer_st = Status::ok();
+    if (!ctx.peer_down) {
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(PeerOp::intent));
+      w.u64(seqno);
+      w.u64(secret);
+      w.bytes(req.data);
+      auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
+                              {.timeout = ctx.opts.peer_timeout}, octx);
+      if (res.is_ok()) {
+        peer_st = reply_status(*res);
       } else {
+        // Peer unreachable: carry on alone (no partition tolerance).
+        ctx.peer_down = true;
         ctx.stats->peer_down_writes++;
       }
-
-      if (!peer_st.is_ok() && peer_st.code() == Errc::refused) {
-        // Conflicting update initiated at the peer; back off and retry.
-        // Asymmetric backoff (higher-indexed server defers longer) breaks
-        // the livelock when both servers initiate simultaneously.
-        ctx.unlock();
-        ctx.sim().sleep_for(
-            sim::msec(4) + sim::msec(8) * ctx.my_index +
-            static_cast<sim::Duration>(ctx.sim().rng().below(8000)));
-        continue;
-      }
-      if (!peer_st.is_ok() && peer_st.code() == Errc::conflict) {
-        // The peer missed updates (it restarted, or we wrote while it was
-        // unreachable): converge states, then retry with a fresh seqno.
-        (void)sync_with_peer(ctx, st);
-        ctx.unlock();
-        continue;
-      }
-      if (!peer_st.is_ok()) {
-        ctx.unlock();
-        reply = reply_error(peer_st.code());
-        done = true;
-        break;
-      }
-
-      // Peer committed the intentions: perform the update.
-      cap::Capability deleted_file = cap::kNullCap;
-      if (*op_res == DirOp::delete_dir) {
-        if (ObjectEntry* e = ctx.state.entry(request_target(req.data))) {
-          deleted_file = e->bullet;
-        }
-      }
-      DirState::ApplyEffect effect;
-      reply = ctx.state.apply(req.data, secret, seqno, &effect);
-      ctx.last_seqno = seqno;
-      if (ctx.wb) {
-        // Local copy deferred: the NVRAM record is the durability. As at
-        // the peer, only state changes are logged.
-        if (effect.any_change) {
-          ctx.wb->log(st, req.data, secret, seqno, effect, octx);
-        }
-      } else {
-        for (std::uint32_t obj : effect.touched) {
-          retire(st, copy_object(ctx, st, obj, octx));
-        }
-      }
-      if (!deleted_file.is_null()) (void)st.bullet.del(deleted_file);
-      ctx.unlock();
-      ctx.stats->writes++;
-      ++ctx.mx_writes;
-      ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      done = true;
+    } else {
+      ctx.stats->peer_down_writes++;
     }
-    if (!done) reply = reply_error(Errc::refused);
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
+
+    if (!peer_st.is_ok() && peer_st.code() == Errc::refused) {
+      // Conflicting update initiated at the peer; back off and retry.
+      // Asymmetric backoff (higher-indexed server defers longer) breaks
+      // the livelock when both servers initiate simultaneously.
+      ctx.unlock();
+      ctx.sim().sleep_for(
+          sim::msec(4) + sim::msec(8) * ctx.my_index +
+          static_cast<sim::Duration>(ctx.sim().rng().below(8000)));
+      continue;
+    }
+    if (!peer_st.is_ok() && peer_st.code() == Errc::conflict) {
+      // The peer missed updates (it restarted, or we wrote while it was
+      // unreachable): converge states, then retry with a fresh seqno.
+      (void)sync_with_peer(ctx, st);
+      ctx.unlock();
+      continue;
+    }
+    if (!peer_st.is_ok()) {
+      ctx.unlock();
+      return {reply_error(peer_st.code()), "write", false};
+    }
+
+    // Peer committed the intentions: perform the update.
+    cap::Capability deleted_file = cap::kNullCap;
+    if (op == DirOp::delete_dir) {
+      if (ObjectEntry* e = ctx.state.entry(request_target(req.data))) {
+        deleted_file = e->bullet;
+      }
+    }
+    DirState::ApplyEffect effect;
+    Buffer reply = ctx.state.apply(req.data, secret, seqno, &effect);
+    ctx.last_seqno = seqno;
+    if (ctx.wb) {
+      // Local copy deferred: the NVRAM record is the durability. As at the
+      // peer, only state changes are logged.
+      if (effect.any_change) {
+        ctx.wb->log(st, req.data, secret, seqno, effect, octx);
+      }
+    } else {
+      for (std::uint32_t obj : effect.touched) {
+        retire(st, copy_object(ctx, st, obj, octx));
+      }
+    }
+    if (!deleted_file.is_null()) (void)st.bullet.del(deleted_file);
+    ctx.unlock();
+    return {std::move(reply), "write", true};
   }
+  return {reply_error(Errc::refused), "write", false};
 }
 
 // ------------------------------------------------------------- boot/resync
@@ -474,7 +420,7 @@ bool sync_with_peer(RpcServerCtx& ctx, Storage& st) {
   w.u8(static_cast<std::uint8_t>(PeerOp::push_state));
   w.u64(ctx.last_seqno);
   w.bytes(ctx.state.snapshot());
-  auto res = st.rpc.trans(admin_port(ctx, ctx.peer_index), w.take(),
+  auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
                           {.timeout = ctx.opts.peer_timeout});
   if (!res.is_ok()) return false;
   try {
@@ -557,10 +503,7 @@ void load_and_resync(RpcServerCtx& ctx, Storage& st) {
 }
 
 void service_main(Machine& machine, RpcDirOptions opts) {
-  int my_index = -1;
-  for (std::size_t i = 0; i < opts.dir_servers.size(); ++i) {
-    if (opts.dir_servers[i] == machine.id()) my_index = static_cast<int>(i);
-  }
+  const int my_index = replica_index(opts.dir_servers, machine.id());
   if (my_index < 0 || opts.dir_servers.size() != 2) {
     LOG_ERROR << machine.name() << " rpc dir server misconfigured";
     return;
@@ -595,7 +538,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   // Peer-facing service (intent / resync) comes up before the boot resync:
   // when both servers boot together each must be able to answer the other.
   auto peer_srv = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx, ctx.my_index));
+      machine, admin_port(ctx.opts, ctx.my_index));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("rdir.peer" + std::to_string(i), [&ctx, peer_srv] {
       Storage pst(ctx);
@@ -619,8 +562,15 @@ void service_main(Machine& machine, RpcDirOptions opts) {
 
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   for (int i = 0; i < ctx.opts.server_threads; ++i) {
-    machine.spawn("rdir.svr" + std::to_string(i),
-                  [&ctx, server] { initiator_loop(ctx, *server); });
+    machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
+      Storage st(ctx);
+      serve_loop(ctx.machine, *server, "dir.rpc", ctx.opts.cpu_read,
+                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+                 [&ctx, &st](const rpc::IncomingRequest& req, DirOp op,
+                             obs::TraceContext octx) {
+                   return handle_op(ctx, st, req, op, octx);
+                 });
+    });
   }
 
   // Peer liveness probe: when the peer returns, converge state and

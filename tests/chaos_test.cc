@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "check/simfuzz.h"
 #include "dir/client.h"
@@ -23,17 +25,22 @@
 namespace amoeba::harness {
 namespace {
 
-// gtest names each instance after the parameter's raw bytes, so the
-// parameter structs spell out their padding as zeroed fields: padding left
-// implicit holds whatever the stack held, and the test names changed
-// between builds.
+// Each instance is named after its fields (name generator and PrintTo
+// below), never after the parameter's raw bytes: those include padding, so
+// a byte-derived test name could change between builds.
 struct ChaosParams {
   std::uint64_t seed;
   int rounds;
   bool use_nvram;
   bool with_partitions;
-  std::uint16_t zero = 0;
 };
+
+std::string label(const ChaosParams& p) {
+  return "seed" + std::to_string(p.seed) + "_rounds" +
+         std::to_string(p.rounds) + "_nvram" + std::to_string(p.use_nvram) +
+         "_partitions" + std::to_string(p.with_partitions);
+}
+void PrintTo(const ChaosParams& p, std::ostream* os) { *os << label(p); }
 
 class ChaosSweep : public ::testing::TestWithParam<ChaosParams> {};
 
@@ -209,7 +216,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosParams{105, 4, true, false},
                       ChaosParams{106, 6, true, true},
                       ChaosParams{107, 8, false, true},
-                      ChaosParams{108, 8, true, true}));
+                      ChaosParams{108, 8, true, true}),
+    [](const auto& info) { return label(info.param); });
 
 // ------------------------------------------------- RPC crash-only storms
 
@@ -217,8 +225,13 @@ struct RpcChaosParams {
   std::uint64_t seed;
   int rounds;
   bool use_nvram;
-  std::uint8_t zero[3] = {};
 };
+
+std::string label(const RpcChaosParams& p) {
+  return "seed" + std::to_string(p.seed) + "_rounds" +
+         std::to_string(p.rounds) + "_nvram" + std::to_string(p.use_nvram);
+}
+void PrintTo(const RpcChaosParams& p, std::ostream* os) { *os << label(p); }
 
 class RpcChaosSweep : public ::testing::TestWithParam<RpcChaosParams> {};
 
@@ -328,7 +341,8 @@ INSTANTIATE_TEST_SUITE_P(Storm, RpcChaosSweep,
                                            RpcChaosParams{203, 3, true},
                                            RpcChaosParams{204, 5, true},
                                            RpcChaosParams{205, 7, false},
-                                           RpcChaosParams{206, 7, true}));
+                                           RpcChaosParams{206, 7, true}),
+                         [](const auto& info) { return label(info.param); });
 
 }  // namespace
 }  // namespace amoeba::harness

@@ -2,8 +2,12 @@
 // the public client API, on the standard simulated testbed.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "bullet/bullet.h"
 #include "dir/client.h"
+#include "dir/proto.h"
 #include "harness/testbed.h"
 #include "harness/workload.h"
 
@@ -170,6 +174,94 @@ TEST_P(AllFlavors, ChmodRestrictsStoredCapability) {
   });
 }
 
+/// Served reads and writes summed over every directory server's stats.
+std::pair<std::uint64_t, std::uint64_t> served_ops(Testbed& bed) {
+  std::pair<std::uint64_t, std::uint64_t> n{0, 0};
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    net::Machine& m = bed.dir_server(i);
+    switch (bed.options().flavor) {
+      case Flavor::group:
+      case Flavor::group_nvram:
+        n.first += dir::group_dir_stats(m).reads;
+        n.second += dir::group_dir_stats(m).writes;
+        break;
+      case Flavor::rpc:
+      case Flavor::rpc_nvram:
+        n.first += dir::rpc_dir_stats(m).reads;
+        n.second += dir::rpc_dir_stats(m).writes;
+        break;
+      case Flavor::nfs:
+        n.first += dir::nfs_dir_stats(m).reads;
+        n.second += dir::nfs_dir_stats(m).writes;
+        break;
+    }
+  }
+  return n;
+}
+
+/// The server-side op span layer of the testbed's flavor.
+const char* op_layer(Flavor f) {
+  switch (f) {
+    case Flavor::group:
+    case Flavor::group_nvram: return "dir.group";
+    case Flavor::rpc:
+    case Flavor::rpc_nvram: return "dir.rpc";
+    case Flavor::nfs: return "dir.nfs";
+  }
+  return "";
+}
+
+/// Events of `layer` recorded in causal trace `trace`, optionally only
+/// those named `name`.
+std::size_t layer_events(Testbed& bed, std::uint64_t trace, const char* layer,
+                         const char* name = nullptr) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : bed.trace().events()) {
+    if (ev.trace == trace && std::strcmp(ev.cat, layer) == 0 &&
+        (name == nullptr || std::strcmp(ev.name, name) == 0)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST_P(AllFlavors, MalformedRequestRepliedBadRequestUncounted) {
+  // An unknown op byte and an empty body reach the client port over the
+  // wire: each is answered bad_request before any op span, CPU charge or
+  // count.
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 11});
+  ASSERT_TRUE(bed.wait_ready());
+  const auto before = served_ops(bed);
+  const std::uint64_t mx_reads_before =
+      bed.metrics().snapshot()[std::string(op_layer(GetParam())) + ".reads"];
+  std::vector<std::uint64_t> traces;
+  bool done = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("malformed", [&] {
+    rpc::RpcClient rpc(cm);
+    obs::Trace& tr = cm.trace();
+    for (const Buffer& request : {Buffer{0xee, 0x01}, Buffer{}}) {
+      const obs::TraceContext root{tr.start_trace().trace, tr.new_span_id()};
+      auto res = rpc.trans(bed.dir_port(), request, {}, root);
+      ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+      EXPECT_EQ(dir::reply_status(*res).code(), Errc::bad_request);
+      traces.push_back(root.trace);
+    }
+    done = true;
+  });
+  bed.sim().run_for(sim::sec(5));
+  ASSERT_TRUE(done);
+  ASSERT_EQ(traces.size(), 2u);
+  for (std::uint64_t t : traces) {
+    EXPECT_EQ(layer_events(bed, t, op_layer(GetParam())), 0u);
+    EXPECT_EQ(layer_events(bed, t, "cpu"), 0u);
+  }
+  EXPECT_EQ(served_ops(bed), before);
+  EXPECT_EQ(
+      bed.metrics().snapshot()[std::string(op_layer(GetParam())) + ".reads"],
+      mx_reads_before);
+}
+
 INSTANTIATE_TEST_SUITE_P(Impl, AllFlavors,
                          ::testing::Values(Flavor::group, Flavor::group_nvram,
                                            Flavor::rpc, Flavor::rpc_nvram,
@@ -184,6 +276,56 @@ INSTANTIATE_TEST_SUITE_P(Impl, AllFlavors,
                            }
                            return "Unknown";
                          });
+
+TEST(GroupDirService, RefusedOpClosesRefusedSpanUncounted) {
+  // Without a majority the initiator refuses a well-formed op: the op span
+  // is named "refused" and neither the stats nor the metrics count it.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 12});
+  ASSERT_TRUE(bed.wait_ready());
+  cap::Capability dcap;
+  run_client(bed, 0, [&](DirClient& dc) {
+    auto d = harness::make_dir_retry(dc, bed.sim());
+    ASSERT_TRUE(d.is_ok());
+    dcap = *d;
+  });
+  bed.cluster().crash(bed.dir_server(1).id());
+  bed.cluster().crash(bed.dir_server(2).id());
+  bed.sim().run_for(sim::sec(2));
+  const auto before = served_ops(bed);
+  const auto mx_before = bed.metrics().snapshot();
+  const std::uint64_t refused_before =
+      dir::group_dir_stats(bed.dir_server(0)).refused_no_majority;
+
+  std::vector<std::uint64_t> traces;
+  bool done = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("refused", [&] {
+    rpc::RpcClient rpc(cm);
+    obs::Trace& tr = cm.trace();
+    for (const Buffer& request :
+         {dir::make_list_dir(dcap), dir::make_create_dir({"c"})}) {
+      const obs::TraceContext root{tr.start_trace().trace, tr.new_span_id()};
+      auto res = rpc.trans(bed.dir_port(), request, {}, root);
+      ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+      EXPECT_EQ(dir::reply_status(*res).code(), Errc::no_majority);
+      traces.push_back(root.trace);
+    }
+    done = true;
+  });
+  bed.sim().run_for(sim::sec(5));
+  ASSERT_TRUE(done);
+  ASSERT_EQ(traces.size(), 2u);
+  for (std::uint64_t t : traces) {
+    EXPECT_EQ(layer_events(bed, t, "dir.group", "refused"), 1u);
+    EXPECT_EQ(layer_events(bed, t, "dir.group"), 1u);
+  }
+  EXPECT_EQ(dir::group_dir_stats(bed.dir_server(0)).refused_no_majority,
+            refused_before + 2);
+  EXPECT_EQ(served_ops(bed), before);
+  auto mx_after = bed.metrics().snapshot();
+  EXPECT_EQ(mx_after["dir.group.reads"], mx_before.at("dir.group.reads"));
+  EXPECT_EQ(mx_after["dir.group.writes"], mx_before.at("dir.group.writes"));
+}
 
 TEST(GroupDirService, ReadYourWritesAcrossServers) {
   // The paper's Sec. 3.1 scenario: a client deletes a directory through one
