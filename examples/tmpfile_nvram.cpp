@@ -18,10 +18,9 @@ namespace {
 void run_phase(harness::Testbed& bed, const cap::Capability& home,
                const char* label, int pairs) {
   const std::uint64_t disk_before = bed.total_disk_writes();
-  std::uint64_t cancels_before = 0;
-  for (int i = 0; i < 3; ++i) {
-    cancels_before += dir::group_dir_stats(bed.dir_server(i)).nvram_cancellations;
-  }
+  const obs::Counter& cancels =
+      bed.metrics().counter("dir.group", "nvram_cancellations");
+  const std::uint64_t cancels_before = cancels;
 
   bool done = false;
   net::Machine& cm = bed.client(0);
@@ -48,17 +47,13 @@ void run_phase(harness::Testbed& bed, const cap::Capability& home,
   while (!done) bed.sim().run_for(sim::msec(100));
   bed.sim().run_for(sim::sec(1));  // let any flusher run
 
-  std::uint64_t cancels_after = 0;
-  for (int i = 0; i < 3; ++i) {
-    cancels_after += dir::group_dir_stats(bed.dir_server(i)).nvram_cancellations;
-  }
   std::printf("%-22s %3d tmp-file cycles in %7.1f ms  "
               "(%5.1f ms/cycle), %2llu extra disk writes, %llu ops cancelled in NVRAM\n",
               label, pairs, sim::to_ms(t1 - t0),
               sim::to_ms(t1 - t0) / pairs,
               static_cast<unsigned long long>(bed.total_disk_writes() -
                                               disk_before),
-              static_cast<unsigned long long>(cancels_after - cancels_before));
+              static_cast<unsigned long long>(cancels - cancels_before));
 }
 
 }  // namespace

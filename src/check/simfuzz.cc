@@ -116,11 +116,16 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
       const dir::GroupDirStats& st = dir::group_dir_stats(m);
       js.set("in_recovery", obs::Json::boolean(st.in_recovery));
       js.set("applied_seqno", obs::Json::uinteger(st.applied_seqno));
-      js.set("recoveries", obs::Json::uinteger(st.recoveries));
     }
     servers.push(std::move(js));
   }
   root.set("servers", std::move(servers));
+  if (is_group(bed.options().flavor)) {
+    const obs::Metrics::Snapshot snap = bed.metrics().snapshot();
+    const auto it = snap.find("dir.group.recoveries");
+    root.set("recoveries",
+             obs::Json::uinteger(it != snap.end() ? it->second : 0));
+  }
 
   // In-flight operations: causal trees with recorded activity whose client
   // root span (cat "dir") never completed. Report the most recent event of
@@ -356,16 +361,9 @@ FuzzReport run_one(const FuzzOptions& opts) {
   for (int i = 0; i < 300 && !driver.finished(); ++i) {
     sim.run_for(sim::msec(100));
   }
-  if (is_group(opts.flavor)) {
-    const sim::Time deadline = sim.now() + sim::sec(60);
-    while (sim.now() < deadline) {
-      bool ready = true;
-      for (int i = 0; i < nservers; ++i) {
-        ready = ready && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-      }
-      if (ready) break;
-      sim.run_for(sim::msec(100));
-    }
+  const sim::Time recover_deadline = sim.now() + sim::sec(60);
+  while (sim.now() < recover_deadline && bed.any_recovering()) {
+    sim.run_for(sim::msec(100));
   }
   sim.run_for(sim::sec(2));
 
@@ -472,7 +470,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
   report.state_digest = kFnvOffset;
   for (const Buffer& s : snaps) report.state_digest = fnv1a(s, report.state_digest);
-  report.wire_packets = bed.cluster().net().stats().wire_packets;
+  report.wire_packets = bed.metrics().counter("net", "wire_packets");
   report.end_time = sim.now();
   report.events = history.size();
   report.ops_ok = history.count(Outcome::ok);

@@ -20,6 +20,18 @@ using net::Port;
 
 using AdminOp = GroupAdminOp;
 
+constexpr int kServerThreads = 3;
+
+// Calibrated Sun3/60-era CPU costs (see DESIGN.md).
+constexpr sim::Duration kCpuRead = sim::msec(3);
+constexpr sim::Duration kCpuWrite = sim::msec(3);
+constexpr sim::Duration kCpuApply = sim::msec(4);
+
+// Recovery pacing.
+constexpr sim::Duration kMajorityWait = sim::msec(500);
+constexpr sim::Duration kRecoveryBackoff = sim::msec(150);
+constexpr sim::Duration kReadBarrierTimeout = sim::msec(1000);
+
 /// Everything the server's processes share. Allocated in the service-main
 /// frame; worker processes are spawned afterwards, so the reverse-order
 /// crash unwind tears them down before this goes away.
@@ -49,7 +61,7 @@ struct ServerCtx {
   /// failed write, a missing or corrupt file): the install rewrites it.
   std::map<std::uint32_t, ObjectEntry> on_disk;
 
-  GroupDirStats* stats = nullptr;
+  GroupDirStats* stats = nullptr;  // recovery state for tests and tools
 
   /// Lease-holder table: directory object -> (holder lease port -> holder).
   /// Filled by the initiator when it grants a lease on a lookup reply;
@@ -71,7 +83,7 @@ struct ServerCtx {
   // loops never hash a metric name.
   obs::Counter& mx_applies;
   obs::Counter& mx_refused;
-  obs::Counter& mx_flushes;
+  obs::Counter& mx_recoveries;
   obs::Counter& mx_lease_grants;
   obs::Counter& mx_lease_invals;
   obs::Counter& mx_group_commits;
@@ -85,7 +97,7 @@ struct ServerCtx {
         completion_wq(m.sim()),
         mx_applies(m.metrics().counter("dir.group", "applies")),
         mx_refused(m.metrics().counter("dir.group", "refused_no_majority")),
-        mx_flushes(m.metrics().counter("dir.group", "flushes")),
+        mx_recoveries(m.metrics().counter("dir.group", "recoveries")),
         mx_lease_grants(m.metrics().counter("dir.group", "lease_grants")),
         mx_lease_invals(m.metrics().counter("dir.group", "lease_invals")),
         mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")) {}
@@ -457,9 +469,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
 
   // "while (minority && !timeout) wait"
   const sim::Time deadline =
-      ctx.now() + ctx.opts.majority_wait +
+      ctx.now() + kMajorityWait +
       static_cast<sim::Duration>(sim.rng().below(
-          static_cast<std::uint64_t>(ctx.opts.recovery_backoff)));
+          static_cast<std::uint64_t>(kRecoveryBackoff)));
   while (ctx.now() < deadline) {
     group::GroupInfo gi = ctx.gm->info();
     if (gi.state == group::MemberState::failed) {
@@ -473,9 +485,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     // "if (minority) try again (leave group and retry)"
     (void)ctx.gm->leave(sim::msec(200));
     ctx.gm.reset();
-    sim.sleep_for(ctx.opts.recovery_backoff +
+    sim.sleep_for(kRecoveryBackoff +
                   static_cast<sim::Duration>(sim.rng().below(
-                      static_cast<std::uint64_t>(ctx.opts.recovery_backoff))));
+                      static_cast<std::uint64_t>(kRecoveryBackoff))));
     return false;
   }
 
@@ -566,7 +578,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     // We need a snapshot but nobody answered the exchange; retry the loop.
     (void)ctx.gm->leave(sim::msec(200));
     ctx.gm.reset();
-    sim.sleep_for(ctx.opts.recovery_backoff);
+    sim.sleep_for(kRecoveryBackoff);
     return false;
   }
   if (behind_peer || behind_group) {
@@ -625,7 +637,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
       // seqno (paper Sec. 3).
       (void)ctx.gm->leave(sim::msec(200));
       ctx.gm.reset();
-      sim.sleep_for(ctx.opts.recovery_backoff);
+      sim.sleep_for(kRecoveryBackoff);
       return false;
     }
     ctx.cblock.recovering = false;
@@ -660,8 +672,7 @@ void run_recovery(ServerCtx& ctx, Storage& st) {
     // Loop until a majority with the last-to-fail set is assembled.
   }
   ctx.stats->in_recovery = false;
-  ctx.stats->recoveries++;
-  ctx.machine.metrics().counter("dir.group", "recoveries")++;
+  ++ctx.mx_recoveries;
   ctx.machine.trace().complete(t0, ctx.now() - t0, "dir.group", "recovery",
                                ctx.machine.id().v);
   ctx.machine.timeline().signal(obs::Signal::recovery_done, ctx.now());
@@ -705,7 +716,6 @@ void grant_leases(ServerCtx& ctx, const rpc::IncomingRequest& req,
     auto& h = ctx.leases[obj][parsed->lease_port->v];
     h.client = req.client;
     h.expiry = std::max(h.expiry, expiry);  // renewal extends, never shrinks
-    ctx.stats->lease_grants++;
     ++ctx.mx_lease_grants;
   }
   append_lease_grants(reply, grants);
@@ -726,7 +736,6 @@ void invalidate_leases(ServerCtx& ctx, const DirState::ApplyEffect& effect,
       ctx.machine.net().unicast(ctx.machine.id(), h.client, Port{portv},
                                 make_lease_inval(obj, seqno), tctx,
                                 "lease_inval");
-      ctx.stats->lease_invals++;
       ++ctx.mx_lease_invals;
     }
     ctx.leases.erase(it);
@@ -760,7 +769,6 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
       Status rst = ctx.gm->reset_group(sim::sec(2));
       if (rst.is_ok() && ctx.majority()) {
         update_config_from_group(ctx, st);
-        ctx.stats->group_resets++;
         continue;
       }
       ctx.in_recovery = true;
@@ -840,7 +848,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     const sim::Time apply_t0 = ctx.now();
     const std::uint64_t apply_sp = msg.ctx.active() ? tr.new_span_id() : 0;
     const obs::TraceContext actx{msg.ctx.trace, apply_sp};
-    traced_cpu(ctx.machine, ctx.opts.cpu_apply, actx);
+    traced_cpu(ctx.machine, kCpuApply, actx);
     // Any applied update counts as activity for the NVRAM idle-flush
     // heuristic, even when another server was the initiator.
     ctx.last_client_op = ctx.now();
@@ -896,7 +904,6 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
                     msg.seqno, single_effect, actx);
       } else if (changed.size() >= 2) {
         ctx.wb->log_batch(st, changed, msg.seqno, actx);
-        ctx.stats->nvram_group_commits++;
         ++ctx.mx_group_commits;
       }
     } else {
@@ -943,7 +950,6 @@ Handled handle_op(ServerCtx& ctx, const rpc::IncomingRequest& req, DirOp op,
 
   // "if (!majority()) return failure" — Fig. 5.
   if (ctx.in_recovery || !ctx.majority()) {
-    ctx.stats->refused_no_majority++;
     ++ctx.mx_refused;
     return {reply_error(Errc::no_majority), "refused", false};
   }
@@ -956,7 +962,7 @@ Handled handle_op(ServerCtx& ctx, const rpc::IncomingRequest& req, DirOp op,
     // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
     if (!ctx.opts.debug_skip_read_barrier) {
       const std::uint64_t target = ctx.gm->info().known_latest;
-      const sim::Time deadline = ctx.now() + ctx.opts.read_barrier_timeout;
+      const sim::Time deadline = ctx.now() + kReadBarrierTimeout;
       while (ctx.applied_seqno < target && ctx.now() < deadline &&
              !ctx.in_recovery) {
         ctx.applied_wq.wait_until(deadline);
@@ -1013,7 +1019,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   ServerCtx ctx(machine, std::move(opts), my_index);
   auto& stats = machine.persistent<GroupDirStats>(
       "group_dir.stats", [] { return std::make_unique<GroupDirStats>(); });
-  stats = GroupDirStats{};  // fresh counters per boot
+  stats = GroupDirStats{};  // every boot starts in recovery
   ctx.stats = &stats;
 
   if (ctx.opts.use_nvram) {
@@ -1023,9 +1029,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
             .nvram_bytes = ctx.opts.nvram_bytes,
             .last_activity = &ctx.last_client_op,
             .in_recovery = &ctx.in_recovery,
-            .flushes = &stats.flushes,
-            .cancellations = &stats.nvram_cancellations,
-            .mx_flushes = &ctx.mx_flushes,
+            .layer = "dir.group",
             .write_back =
                 [&ctx](Storage& st, std::uint32_t obj) {
                   if (ctx.state.entry(obj) != nullptr) {
@@ -1063,10 +1067,9 @@ void service_main(Machine& machine, GroupDirOptions opts) {
 
   // Client-facing initiator threads.
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
-      serve_loop(ctx.machine, *server, "dir.group", ctx.opts.cpu_read,
-                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+      serve_loop(ctx.machine, *server, "dir.group", kCpuRead, kCpuWrite,
                  [&ctx](const rpc::IncomingRequest& req, DirOp op,
                         obs::TraceContext octx) {
                    return handle_op(ctx, req, op, octx);

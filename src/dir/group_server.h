@@ -35,7 +35,6 @@ struct GroupDirOptions {
   net::Port bullet_port{1200};      // this server's bullet server
   net::Port disk_port{1300};        // this server's raw-partition server
   std::vector<net::MachineId> dir_servers;  // all servers, fixed order
-  int server_threads = 3;
   int resilience = 2;
   bool use_nvram = false;
   bool improved_recovery = false;  // Sec. 3.2's relaxed 2-server rule
@@ -63,16 +62,6 @@ struct GroupDirOptions {
   /// production configurations.
   bool debug_skip_read_barrier = false;
 
-  // Calibrated Sun3/60-era CPU costs (see DESIGN.md).
-  sim::Duration cpu_read = sim::msec(3);
-  sim::Duration cpu_write = sim::msec(3);
-  sim::Duration cpu_apply = sim::msec(4);
-
-  // Recovery pacing.
-  sim::Duration majority_wait = sim::msec(500);
-  sim::Duration recovery_backoff = sim::msec(150);
-  sim::Duration read_barrier_timeout = sim::msec(1000);
-
   // NVRAM size (the flush policy is NvramWriteBack's, dir/persist.h).
   std::size_t nvram_bytes = 24 * 1024;
 
@@ -92,19 +81,10 @@ enum class GroupAdminOp : std::uint8_t { exchange = 1, fetch_state };
 /// restart). The machine must appear in `opts.dir_servers`.
 void install_group_dir_server(net::Machine& machine, GroupDirOptions opts);
 
-/// Observable per-server counters (for tests and benchmarks). Fetched by
-/// machine id after the simulation ran.
+/// A server's recovery state, fetched by machine id (for tests, tools and
+/// benchmarks). Its counts live in the cluster's metrics registry under
+/// "dir.group.*".
 struct GroupDirStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t refused_no_majority = 0;
-  std::uint64_t recoveries = 0;      // completed recovery protocol runs
-  std::uint64_t group_resets = 0;    // successful in-place group rebuilds
-  std::uint64_t nvram_cancellations = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t lease_grants = 0;
-  std::uint64_t lease_invals = 0;
-  std::uint64_t nvram_group_commits = 0;  // batch records appended to the log
   bool in_recovery = true;
   std::uint64_t applied_seqno = 0;
 };
@@ -132,8 +112,8 @@ struct GroupInstallCounts {
   }
 };
 
-/// Latest stats snapshot for the server on `machine` (survives crashes; a
-/// restarted server resets its counters).
+/// Latest state of the server on `machine` (survives crashes; a restarted
+/// server starts over in recovery).
 const GroupDirStats& group_dir_stats(net::Machine& machine);
 
 }  // namespace amoeba::dir

@@ -15,13 +15,19 @@ namespace {
 
 using net::Machine;
 
+constexpr int kServerThreads = 3;
+constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
+constexpr sim::Duration kCpuWrite = sim::msec(3);
+constexpr sim::Duration kDirWriteDisk = sim::msec(40);  // synchronous metadata
+// Asynchronous data, synchronous inode.
+constexpr sim::Duration kFileCreateDisk = sim::msec(12);
+
 struct NfsCtx {
   Machine& machine;
   NfsDirOptions opts;
   DirState state;
   std::uint64_t seqno = 0;
   disk::VirtualDisk* disk = nullptr;
-  NfsDirStats* stats = nullptr;
 
   // Local "file system" objects for the tmp-file experiment.
   struct FileEntry {
@@ -71,7 +77,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
           // Data is write-behind; only the inode/indirect block is
           // synchronous — hence the smaller cost than a full disk write.
           ctx.machine.cpu().use(sim::msec(1));
-          ctx.machine.sim().sleep_for(ctx.opts.file_create_disk);
+          ctx.machine.sim().sleep_for(kFileCreateDisk);
           const std::uint32_t obj = ctx.next_file++;
           const std::uint64_t secret =
               ctx.machine.sim().rng().next() & cap::CheckScheme::kCheckMask;
@@ -114,19 +120,14 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       reply = reply_error(Errc::bad_request);
     }
     server.put_reply(req, std::move(reply));
-    ctx.stats->file_ops++;
     ++mx_file_ops;
   }
 }
 
 void service_main(Machine& machine, NfsDirOptions opts) {
   NfsCtx ctx(machine, std::move(opts));
-  auto& stats = machine.persistent<NfsDirStats>(
-      "nfs_dir.stats", [] { return std::make_unique<NfsDirStats>(); });
-  stats = NfsDirStats{};
-  ctx.stats = &stats;
   disk::DiskConfig dcfg;
-  dcfg.write_latency = ctx.opts.dir_write_disk;
+  dcfg.write_latency = kDirWriteDisk;
   ctx.disk = &machine.persistent<disk::VirtualDisk>(
       "nfs.disk", [&machine, dcfg] {
         return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk",
@@ -140,10 +141,9 @@ void service_main(Machine& machine, NfsDirOptions opts) {
   auto dir_srv = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   auto file_srv =
       std::make_shared<rpc::RpcServer>(machine, ctx.opts.file_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("nfs.dir" + std::to_string(i), [&ctx, dir_srv] {
-      serve_loop(ctx.machine, *dir_srv, "dir.nfs", ctx.opts.cpu_read,
-                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+      serve_loop(ctx.machine, *dir_srv, "dir.nfs", kCpuRead, kCpuWrite,
                  [&ctx](const rpc::IncomingRequest& req, DirOp op,
                         obs::TraceContext octx) {
                    return handle_op(ctx, req, op, octx);
@@ -162,11 +162,6 @@ void service_main(Machine& machine, NfsDirOptions opts) {
 void install_nfs_dir_server(Machine& machine, NfsDirOptions opts) {
   machine.install_service("nfs_dir",
                           [opts](Machine& m) { service_main(m, opts); });
-}
-
-const NfsDirStats& nfs_dir_stats(net::Machine& machine) {
-  return machine.persistent<NfsDirStats>(
-      "nfs_dir.stats", [] { return std::make_unique<NfsDirStats>(); });
 }
 
 }  // namespace amoeba::dir

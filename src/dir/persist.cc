@@ -280,6 +280,9 @@ NvramWriteBack::NvramWriteBack(net::Machine& m, Config cfg)
     : machine_(m),
       cfg_(std::move(cfg)),
       nv_(nvram_device(m, cfg_.nvram_bytes)),
+      mx_flushes_(m.metrics().counter(cfg_.layer, "flushes")),
+      mx_cancellations_(
+          m.metrics().counter(cfg_.layer, "nvram_cancellations")),
       flush_wq_(m.sim()) {
   nv_.attach_obs(&m.metrics(), &m.trace(), m.id().v);
 }
@@ -303,7 +306,7 @@ void NvramWriteBack::log(Storage& st, const Buffer& request,
                          obs::TraceContext tctx) {
   const std::size_t cancelled = nvlog::try_cancel(nv_, request, effect);
   if (cancelled > 0) {
-    *cfg_.cancellations += cancelled;
+    mx_cancellations_ += cancelled;
     return;
   }
   // A logged deletion of an on-disk directory leaves the finish hook an
@@ -354,8 +357,7 @@ void NvramWriteBack::flush(Storage& st) {
   const std::uint64_t deletes = std::exchange(delete_seqno_, 0);
   if (cfg_.finish) cfg_.finish(st, deletes);
   for (std::uint64_t id : ids) (void)nv_.cancel(id);
-  ++*cfg_.flushes;
-  ++*cfg_.mx_flushes;
+  ++mx_flushes_;
 }
 
 void NvramWriteBack::clear() {

@@ -126,10 +126,10 @@ class NvramWriteBack {
     /// While *in_recovery is set the flusher writes nothing back: recovery
     /// may install a snapshot that supersedes the log. Null: never held.
     const bool* in_recovery = nullptr;
-    // The server's stats fields and metric the engine bumps.
-    std::uint64_t* flushes = nullptr;
-    std::uint64_t* cancellations = nullptr;
-    obs::Counter* mx_flushes = nullptr;
+    /// Metrics layer of the server ("dir.group", "dir.rpc"): the engine
+    /// counts flush passes in "<layer>.flushes" and ops the Sec. 4.1
+    /// cancellation elided in "<layer>.nvram_cancellations".
+    const char* layer = "";
     /// Write one logged object back: its current state, or its deletion
     /// when the in-memory state no longer holds it.
     std::function<void(Storage&, std::uint32_t obj)> write_back = nullptr;
@@ -180,6 +180,8 @@ class NvramWriteBack {
   net::Machine& machine_;
   Config cfg_;
   nvram::Nvram& nv_;
+  obs::Counter& mx_flushes_;
+  obs::Counter& mx_cancellations_;
   std::uint64_t delete_seqno_ = 0;  // logged delete_dir awaiting finish
   bool flushing_ = false;
   sim::WaitQueue flush_wq_;

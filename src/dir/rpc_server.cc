@@ -25,6 +25,15 @@ using nvlog::request_target;
 /// intentions at the peer, the local copy, and the lazy peer copy.
 constexpr std::uint32_t kIntentBlock = 0;
 
+constexpr int kServerThreads = 3;
+constexpr sim::Duration kCpuRead = sim::msec(3);
+// Includes the intentions bookkeeping.
+constexpr sim::Duration kCpuWrite = sim::msec(5);
+// Peer-side intent handling.
+constexpr sim::Duration kCpuApply = sim::msec(6);
+constexpr sim::Duration kPeerTimeout = sim::msec(400);
+constexpr int kUpdateRetries = 60;  // on conflicting-update refusals
+
 struct RpcServerCtx {
   Machine& machine;
   RpcDirOptions opts;
@@ -47,7 +56,6 @@ struct RpcServerCtx {
   sim::WaitQueue lazy_wq;
 
   sim::Time last_client_op = 0;
-  RpcDirStats* stats = nullptr;
 
   std::optional<NvramWriteBack> wb;  // NVRAM mode (use_nvram)
 
@@ -55,7 +63,6 @@ struct RpcServerCtx {
   // loops never hash a metric name.
   obs::Counter& mx_intents;
   obs::Counter& mx_conflicts;
-  obs::Counter& mx_flushes;
 
   RpcServerCtx(Machine& m, RpcDirOptions o, int idx)
       : machine(m),
@@ -66,8 +73,7 @@ struct RpcServerCtx {
         lock_wq(m.sim()),
         lazy_wq(m.sim()),
         mx_intents(m.metrics().counter("dir.rpc", "intents_received")),
-        mx_conflicts(m.metrics().counter("dir.rpc", "conflicts")),
-        mx_flushes(m.metrics().counter("dir.rpc", "flushes")) {}
+        mx_conflicts(m.metrics().counter("dir.rpc", "conflicts")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
@@ -179,7 +185,6 @@ void lazy_loop(RpcServerCtx& ctx) {
       }
     }
     if (!task.obsolete.is_null()) (void)st.bullet.del(task.obsolete);
-    ctx.stats->lazy_finalizes++;
   }
 }
 
@@ -214,7 +219,6 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         };
         // Busy performing a conflicting operation (paper Sec. 1).
         if (!ctx.lock_for_peer(ictx)) {
-          ctx.stats->conflicts++;
           ++ctx.mx_conflicts;
           return close(reply_error(Errc::refused));
         }
@@ -226,12 +230,11 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
           // our state. Refuse; the initiator pushes its full state first.
           return close(reply_error(Errc::conflict));
         }
-        ctx.stats->intents_received++;
         ++ctx.mx_intents;
         // An intent is update traffic here too: the NVRAM flusher must not
         // take the peer for idle while the initiator is busy.
         ctx.last_client_op = ctx.now();
-        traced_cpu(ctx.machine, ctx.opts.cpu_apply, ictx);
+        traced_cpu(ctx.machine, kCpuApply, ictx);
         // Store the intentions (update + new seqno) durably, then apply to
         // the RAM state; the disk copy of the directory follows lazily.
         if (!ctx.wb) {
@@ -313,7 +316,7 @@ Handled handle_op(RpcServerCtx& ctx, Storage& st,
   if (is_read_op(op)) return {ctx.state.execute_read(req.data), "read", true};
 
   // Update: serialize locally, get the peer's intentions ack, apply.
-  for (int attempt = 0; attempt <= ctx.opts.update_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kUpdateRetries; ++attempt) {
     ctx.lock_traced(octx);
     const std::uint64_t seqno = ctx.last_seqno + 1;
     const std::uint64_t secret = ctx.sim().rng().next();
@@ -326,16 +329,13 @@ Handled handle_op(RpcServerCtx& ctx, Storage& st,
       w.u64(secret);
       w.bytes(req.data);
       auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
-                              {.timeout = ctx.opts.peer_timeout}, octx);
+                              {.timeout = kPeerTimeout}, octx);
       if (res.is_ok()) {
         peer_st = reply_status(*res);
       } else {
         // Peer unreachable: carry on alone (no partition tolerance).
         ctx.peer_down = true;
-        ctx.stats->peer_down_writes++;
       }
-    } else {
-      ctx.stats->peer_down_writes++;
     }
 
     if (!peer_st.is_ok() && peer_st.code() == Errc::refused) {
@@ -404,7 +404,6 @@ void install_snapshot(RpcServerCtx& ctx, Storage& st, const Buffer& snap,
   for (const auto& [obj, e] : ctx.state.table()) {
     (void)copy_object(ctx, st, obj);
   }
-  ctx.stats->resyncs++;
   ctx.machine.metrics().counter("dir.rpc", "resyncs")++;
   ctx.machine.trace().instant(ctx.now(), "dir.rpc", "resync",
                               ctx.machine.id().v);
@@ -421,7 +420,7 @@ bool sync_with_peer(RpcServerCtx& ctx, Storage& st) {
   w.u64(ctx.last_seqno);
   w.bytes(ctx.state.snapshot());
   auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
-                          {.timeout = ctx.opts.peer_timeout});
+                          {.timeout = kPeerTimeout});
   if (!res.is_ok()) return false;
   try {
     Reader r(*res);
@@ -431,7 +430,6 @@ bool sync_with_peer(RpcServerCtx& ctx, Storage& st) {
     if (peer_seqno > ctx.last_seqno && !snap.empty()) {
       install_snapshot(ctx, st, snap, peer_seqno);
     }
-    ctx.stats->state_pushes++;
     return true;
   } catch (const DecodeError&) {
     return false;
@@ -510,10 +508,6 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   }
 
   RpcServerCtx ctx(machine, std::move(opts), my_index);
-  auto& stats = machine.persistent<RpcDirStats>(
-      "rpc_dir.stats", [] { return std::make_unique<RpcDirStats>(); });
-  stats = RpcDirStats{};
-  ctx.stats = &stats;
 
   if (ctx.opts.use_nvram) {
     ctx.wb.emplace(
@@ -521,9 +515,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
         NvramWriteBack::Config{
             .nvram_bytes = ctx.opts.nvram_bytes,
             .last_activity = &ctx.last_client_op,
-            .flushes = &stats.flushes,
-            .cancellations = &stats.nvram_cancellations,
-            .mx_flushes = &ctx.mx_flushes,
+            .layer = "dir.rpc",
             // A deleted object needs nothing: its file was retired with
             // the delete.
             .write_back =
@@ -561,11 +553,10 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   }
 
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
       Storage st(ctx);
-      serve_loop(ctx.machine, *server, "dir.rpc", ctx.opts.cpu_read,
-                 ctx.opts.cpu_write, ctx.stats->reads, ctx.stats->writes,
+      serve_loop(ctx.machine, *server, "dir.rpc", kCpuRead, kCpuWrite,
                  [&ctx, &st](const rpc::IncomingRequest& req, DirOp op,
                              obs::TraceContext octx) {
                    return handle_op(ctx, st, req, op, octx);
@@ -595,11 +586,6 @@ void service_main(Machine& machine, RpcDirOptions opts) {
 void install_rpc_dir_server(Machine& machine, RpcDirOptions opts) {
   machine.install_service("rpc_dir",
                           [opts](Machine& m) { service_main(m, opts); });
-}
-
-const RpcDirStats& rpc_dir_stats(net::Machine& machine) {
-  return machine.persistent<RpcDirStats>(
-      "rpc_dir.stats", [] { return std::make_unique<RpcDirStats>(); });
 }
 
 }  // namespace amoeba::dir

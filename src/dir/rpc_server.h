@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/cluster.h"
-#include "sim/time.h"
 
 namespace amoeba::dir {
 
@@ -32,13 +31,6 @@ struct RpcDirOptions {
   net::Port bullet_port{2200};      // this server's bullet server
   net::Port disk_port{2300};        // this server's raw partition
   std::vector<net::MachineId> dir_servers;  // exactly two
-  int server_threads = 3;
-
-  sim::Duration cpu_read = sim::msec(3);
-  sim::Duration cpu_write = sim::msec(5);   // includes intentions bookkeeping
-  sim::Duration cpu_apply = sim::msec(6);   // peer-side intent handling
-  sim::Duration peer_timeout = sim::msec(400);
-  int update_retries = 60;  // on conflicting-update refusals
 
   /// The extension the paper predicts would help ("If the RPC service had
   /// been implemented with NVRAM, one could expect similar performance
@@ -62,21 +54,7 @@ struct RpcDirOptions {
 ///             converges both sides.
 enum class RpcPeerOp : std::uint8_t { intent = 1, resync, push_state };
 
+/// Its counts live in the cluster's metrics registry under "dir.rpc.*".
 void install_rpc_dir_server(net::Machine& machine, RpcDirOptions opts);
-
-struct RpcDirStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t intents_received = 0;
-  std::uint64_t lazy_finalizes = 0;   // background disk copies completed
-  std::uint64_t peer_down_writes = 0; // updates committed without the peer
-  std::uint64_t conflicts = 0;        // intent refusals observed
-  std::uint64_t resyncs = 0;
-  std::uint64_t state_pushes = 0;     // push_state exchanges initiated
-  std::uint64_t nvram_cancellations = 0;
-  std::uint64_t flushes = 0;
-};
-
-const RpcDirStats& rpc_dir_stats(net::Machine& machine);
 
 }  // namespace amoeba::dir

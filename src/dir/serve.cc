@@ -4,8 +4,7 @@ namespace amoeba::dir {
 
 void serve_loop(net::Machine& machine, rpc::RpcServer& server,
                 const char* layer, sim::Duration cpu_read,
-                sim::Duration cpu_write, std::uint64_t& reads,
-                std::uint64_t& writes, const OpHandler& handler) {
+                sim::Duration cpu_write, const OpHandler& handler) {
   obs::Trace& tr = machine.trace();
   obs::Metrics& mx = machine.metrics();
   obs::Counter& mx_reads = mx.counter(layer, "reads");
@@ -30,11 +29,9 @@ void serve_loop(net::Machine& machine, rpc::RpcServer& server,
     Handled h = handler(req, *op, octx);
     const sim::Duration dur = machine.sim().now() - t0;
     if (h.served && rd) {
-      ++reads;
       ++mx_reads;
       mx_read_ms.push_back(sim::to_ms(dur));
     } else if (h.served) {
-      ++writes;
       ++mx_writes;
       mx_write_ms.push_back(sim::to_ms(dur));
     }

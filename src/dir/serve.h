@@ -33,12 +33,11 @@ using OpHandler = std::function<Handled(const rpc::IncomingRequest& req,
 /// Serve client requests on `server` until the process is killed. Per
 /// request: answer an unparsable op with bad_request and nothing else;
 /// otherwise open a `layer` op span, charge `cpu_read` or `cpu_write`, run
-/// `handler`, count a served op in `reads`/`writes` and in
-/// "<layer>.reads/writes/read_ms/write_ms", close the span and reply.
+/// `handler`, count a served op in "<layer>.reads/writes/read_ms/write_ms",
+/// close the span and reply.
 void serve_loop(net::Machine& machine, rpc::RpcServer& server,
                 const char* layer, sim::Duration cpu_read,
-                sim::Duration cpu_write, std::uint64_t& reads,
-                std::uint64_t& writes, const OpHandler& handler);
+                sim::Duration cpu_write, const OpHandler& handler);
 
 /// Position of `me` in a service's fixed server list, or -1.
 int replica_index(const std::vector<net::MachineId>& servers,

@@ -73,7 +73,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
     dir::NfsDirOptions no;
     no.dir_port = kDirPort;
     no.file_port = kNfsFilePort;
-    no.server_threads = opts.dir_server_threads;
     dir::install_nfs_dir_server(m, no);
     file_port_ = kNfsFilePort;
   } else {
@@ -100,7 +99,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         ro.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
         ro.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
         ro.dir_servers = ids;
-        ro.server_threads = opts.dir_server_threads;
         ro.use_nvram = (opts.flavor == Flavor::rpc_nvram);
         ro.nvram_bytes = opts.nvram_bytes;
         dir::install_rpc_dir_server(dir_server(i), ro);
@@ -114,7 +112,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         go.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
         go.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
         go.dir_servers = ids;
-        go.server_threads = opts.dir_server_threads;
         go.resilience = opts.resilience;
         go.use_nvram = (opts.flavor == Flavor::group_nvram);
         go.nvram_bytes = opts.nvram_bytes;
@@ -185,15 +182,19 @@ bool Testbed::wait_ready(sim::Duration limit) {
   sim_->run_for(sim::msec(300));  // boot scans, locate, group formation
   while (sim_->now() < deadline) {
     sim_->run_for(sim::msec(50));
-    bool ready = true;
-    if (opts_.flavor == Flavor::group || opts_.flavor == Flavor::group_nvram) {
-      for (auto* m : dir_servers_) {
-        ready = ready && !dir::group_dir_stats(*m).in_recovery;
-      }
-    }
-    if (ready) return true;
+    if (!any_recovering()) return true;
   }
   return false;
+}
+
+bool Testbed::any_recovering() {
+  if (opts_.flavor != Flavor::group && opts_.flavor != Flavor::group_nvram) {
+    return false;
+  }
+  return std::any_of(dir_servers_.begin(), dir_servers_.end(),
+                     [](net::Machine* m) {
+                       return dir::group_dir_stats(*m).in_recovery;
+                     });
 }
 
 std::uint64_t Testbed::total_disk_writes() const {

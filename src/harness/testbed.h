@@ -31,7 +31,6 @@ struct TestbedOptions {
   Flavor flavor = Flavor::group;
   int clients = 1;
   std::uint64_t seed = 1;
-  int dir_server_threads = 3;
   bool improved_recovery = false;
   int resilience = 2;
   int replicas = 0;  // 0 => flavor default (3 group / 2 rpc / 1 nfs)
@@ -107,6 +106,10 @@ class Testbed {
   /// Run the simulation until every directory server reports it finished
   /// recovery (service ready). Returns false if it never became ready.
   bool wait_ready(sim::Duration limit = sim::sec(30));
+
+  /// Is any directory server running the recovery protocol (and so
+  /// refusing clients)? Always false for the rpc and nfs flavors.
+  [[nodiscard]] bool any_recovering();
 
   /// Aggregate count of disk writes across all storage machines + the NFS
   /// local disk (for the Sec. 3.1 disk-op analysis).

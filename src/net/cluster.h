@@ -188,7 +188,7 @@ class Cluster {
 
  private:
   sim::Simulator& sim_;
-  // Declared before net_: the network mirrors its counters here.
+  // Declared before net_: the network keeps its counters here.
   obs::Metrics metrics_;
   obs::Trace trace_;
   obs::Timeline timeline_;

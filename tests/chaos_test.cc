@@ -147,12 +147,7 @@ TEST_P(ChaosSweep, ReplicasConvergeAndAckedOpsHold) {
     if (!bed.dir_server(i).up()) bed.cluster().restart(bed.dir_server(i).id());
   }
   const sim::Time deadline = sim.now() + sim::sec(60);
-  while (sim.now() < deadline) {
-    bool all = true;
-    for (int i = 0; i < 3; ++i) {
-      all = all && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-    }
-    if (all) break;
+  while (sim.now() < deadline && bed.any_recovering()) {
     sim.run_for(sim::msec(200));
   }
   EXPECT_GT(acked, 20) << "chaos too aggressive: almost nothing committed";

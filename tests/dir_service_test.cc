@@ -174,31 +174,6 @@ TEST_P(AllFlavors, ChmodRestrictsStoredCapability) {
   });
 }
 
-/// Served reads and writes summed over every directory server's stats.
-std::pair<std::uint64_t, std::uint64_t> served_ops(Testbed& bed) {
-  std::pair<std::uint64_t, std::uint64_t> n{0, 0};
-  for (int i = 0; i < bed.num_dir_servers(); ++i) {
-    net::Machine& m = bed.dir_server(i);
-    switch (bed.options().flavor) {
-      case Flavor::group:
-      case Flavor::group_nvram:
-        n.first += dir::group_dir_stats(m).reads;
-        n.second += dir::group_dir_stats(m).writes;
-        break;
-      case Flavor::rpc:
-      case Flavor::rpc_nvram:
-        n.first += dir::rpc_dir_stats(m).reads;
-        n.second += dir::rpc_dir_stats(m).writes;
-        break;
-      case Flavor::nfs:
-        n.first += dir::nfs_dir_stats(m).reads;
-        n.second += dir::nfs_dir_stats(m).writes;
-        break;
-    }
-  }
-  return n;
-}
-
 /// The server-side op span layer of the testbed's flavor.
 const char* op_layer(Flavor f) {
   switch (f) {
@@ -209,6 +184,13 @@ const char* op_layer(Flavor f) {
     case Flavor::nfs: return "dir.nfs";
   }
   return "";
+}
+
+/// Served reads and writes: the flavor's "<layer>.reads/writes" counts.
+std::pair<std::uint64_t, std::uint64_t> served_ops(Testbed& bed) {
+  const char* layer = op_layer(bed.options().flavor);
+  return {bed.metrics().counter(layer, "reads"),
+          bed.metrics().counter(layer, "writes")};
 }
 
 /// Events of `layer` recorded in causal trace `trace`, optionally only
@@ -232,8 +214,6 @@ TEST_P(AllFlavors, MalformedRequestRepliedBadRequestUncounted) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 11});
   ASSERT_TRUE(bed.wait_ready());
   const auto before = served_ops(bed);
-  const std::uint64_t mx_reads_before =
-      bed.metrics().snapshot()[std::string(op_layer(GetParam())) + ".reads"];
   std::vector<std::uint64_t> traces;
   bool done = false;
   net::Machine& cm = bed.client(0);
@@ -257,9 +237,6 @@ TEST_P(AllFlavors, MalformedRequestRepliedBadRequestUncounted) {
     EXPECT_EQ(layer_events(bed, t, "cpu"), 0u);
   }
   EXPECT_EQ(served_ops(bed), before);
-  EXPECT_EQ(
-      bed.metrics().snapshot()[std::string(op_layer(GetParam())) + ".reads"],
-      mx_reads_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Impl, AllFlavors,
@@ -279,7 +256,7 @@ INSTANTIATE_TEST_SUITE_P(Impl, AllFlavors,
 
 TEST(GroupDirService, RefusedOpClosesRefusedSpanUncounted) {
   // Without a majority the initiator refuses a well-formed op: the op span
-  // is named "refused" and neither the stats nor the metrics count it.
+  // is named "refused" and is counted as refused, not as served.
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 12});
   ASSERT_TRUE(bed.wait_ready());
   cap::Capability dcap;
@@ -292,9 +269,9 @@ TEST(GroupDirService, RefusedOpClosesRefusedSpanUncounted) {
   bed.cluster().crash(bed.dir_server(2).id());
   bed.sim().run_for(sim::sec(2));
   const auto before = served_ops(bed);
-  const auto mx_before = bed.metrics().snapshot();
-  const std::uint64_t refused_before =
-      dir::group_dir_stats(bed.dir_server(0)).refused_no_majority;
+  obs::Counter& refused =
+      bed.metrics().counter("dir.group", "refused_no_majority");
+  const std::uint64_t refused_before = refused;
 
   std::vector<std::uint64_t> traces;
   bool done = false;
@@ -319,12 +296,8 @@ TEST(GroupDirService, RefusedOpClosesRefusedSpanUncounted) {
     EXPECT_EQ(layer_events(bed, t, "dir.group", "refused"), 1u);
     EXPECT_EQ(layer_events(bed, t, "dir.group"), 1u);
   }
-  EXPECT_EQ(dir::group_dir_stats(bed.dir_server(0)).refused_no_majority,
-            refused_before + 2);
+  EXPECT_EQ(refused, refused_before + 2);
   EXPECT_EQ(served_ops(bed), before);
-  auto mx_after = bed.metrics().snapshot();
-  EXPECT_EQ(mx_after["dir.group.reads"], mx_before.at("dir.group.reads"));
-  EXPECT_EQ(mx_after["dir.group.writes"], mx_before.at("dir.group.writes"));
 }
 
 TEST(GroupDirService, ReadYourWritesAcrossServers) {

@@ -245,16 +245,21 @@ TEST_F(EdgeFixture, StatsCountSendsAndResets) {
     });
   }
   sim.run_for(sim::msec(100));
+  obs::Counter& sends = cluster.metrics().counter("group", "sends");
+  obs::Counter& resets = cluster.metrics().counter("group", "resets");
+  const std::uint64_t sends_before = sends;
+  const std::uint64_t resets_before = resets;
   cluster.machine(MachineId{1}).spawn("send", [&] {
     for (int k = 0; k < 3; ++k) {
       (void)ms[1]->send_to_group(to_buffer("x"));
     }
   });
   sim.run_for(sim::sec(1));
-  EXPECT_EQ(ms[1]->stats().sends, 3u);
+  EXPECT_EQ(sends - sends_before, 3u);
+  EXPECT_EQ(resets, resets_before);
   cluster.crash(MachineId{0});
   sim.run_for(sim::sec(2));
-  EXPECT_GE(ms[1]->stats().resets, 1u);
+  EXPECT_GE(resets - resets_before, 1u);
 }
 
 TEST_F(EdgeFixture, PrunedHistoryGapEscalatesToStateTransfer) {

@@ -235,27 +235,23 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_F(GroupFixture, FivePacketsForNonSequencerSend) {
   boot(3);
   sim.run_until(sim::msec(200));  // let join traffic settle
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  obs::Counter& data = cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data;
   send_from(1, {"x"});
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
   // REQ + multicast ACCEPT + 2 ACK + COMMIT = 5 (paper Sec. 3.1).
-  EXPECT_EQ(after - before, 5u);
+  EXPECT_EQ(data - before, 5u);
 }
 
 TEST_F(GroupFixture, ThreePacketsForSequencerSend) {
   boot(3);
   sim.run_until(sim::msec(200));
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  obs::Counter& data = cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data;
   send_from(0, {"x"});  // machine 0 is the sequencer
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
   // multicast ACCEPT + 2 ACK = 3.
-  EXPECT_EQ(after - before, 3u);
+  EXPECT_EQ(data - before, 3u);
 }
 
 TEST_F(GroupFixture, ResilientSendSurvivesTwoCrashes) {
@@ -489,15 +485,13 @@ TEST_F(BbFixture, BbTotalOrderConcurrentSenders) {
 TEST_F(BbFixture, BbFivePacketsPerSend) {
   boot_bb(3);
   sim.run_until(sim::msec(200));
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  obs::Counter& data = cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data;
   send_from(1, {"x"});
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
   // bb_data multicast + bb_order multicast + 2 ACK + COMMIT = 5, but the
   // payload crosses the wire only once (vs. twice with PB).
-  EXPECT_EQ(after - before, 5u);
+  EXPECT_EQ(data - before, 5u);
 }
 
 TEST_F(BbFixture, BbSurvivesPayloadLossViaRetransmission) {

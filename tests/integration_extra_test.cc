@@ -36,6 +36,8 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalMeasurements) {
 TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 61});
   ASSERT_TRUE(bed.wait_ready());
+  obs::Metrics& mx = bed.metrics();
+  const obs::Metrics::Snapshot before = mx.snapshot();
   bool done = false;
   net::Machine& cm = bed.client(0);
   cm.spawn("load", [&] {
@@ -51,13 +53,10 @@ TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
   });
   while (!done) bed.sim().run_for(sim::msec(100));
 
-  std::uint64_t reads = 0, writes = 0;
-  for (int i = 0; i < 3; ++i) {
-    reads += dir::group_dir_stats(bed.dir_server(i)).reads;
-    writes += dir::group_dir_stats(bed.dir_server(i)).writes;
-  }
-  EXPECT_EQ(writes, 6u);  // create + 5 appends
-  EXPECT_EQ(reads, 5u);
+  obs::Metrics::Snapshot d = obs::Metrics::delta(mx.snapshot(), before);
+  EXPECT_EQ(d["dir.group.writes"], 6u);  // create + 5 appends
+  EXPECT_EQ(d["dir.group.reads"], 5u);
+  EXPECT_EQ(d["dir.group.refused_no_majority"], 0u);
 
   // Refusals are counted once the majority is gone.
   bed.cluster().crash(bed.dir_server(1).id());
@@ -71,12 +70,15 @@ TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
     done = true;
   });
   while (!done) bed.sim().run_for(sim::msec(100));
-  EXPECT_GE(dir::group_dir_stats(bed.dir_server(0)).refused_no_majority, 1u);
+  d = obs::Metrics::delta(mx.snapshot(), before);
+  EXPECT_GE(d["dir.group.refused_no_majority"], 1u);
 }
 
 TEST(Counters, RpcServiceLazyReplicationCatchesUp) {
   Testbed bed({.flavor = Flavor::rpc, .clients = 1, .seed = 62});
   ASSERT_TRUE(bed.wait_ready());
+  obs::Counter& intents = bed.metrics().counter("dir.rpc", "intents_received");
+  const std::uint64_t intents_before = intents;
   bool done = false;
   net::Machine& cm = bed.client(0);
   cm.spawn("load", [&] {
@@ -92,14 +94,9 @@ TEST(Counters, RpcServiceLazyReplicationCatchesUp) {
   while (!done) bed.sim().run_for(sim::msec(100));
   bed.sim().run_for(sim::sec(3));  // drain the background copies
 
-  std::uint64_t intents = 0, lazies = 0;
-  for (int i = 0; i < 2; ++i) {
-    intents += dir::rpc_dir_stats(bed.dir_server(i)).intents_received;
-    lazies += dir::rpc_dir_stats(bed.dir_server(i)).lazy_finalizes;
-  }
-  EXPECT_EQ(intents, 5u);  // every update crossed to the peer
-  EXPECT_GE(lazies, 1u);   // background copies ran (coalescing may merge)
-  // Both replicas end up holding a bullet file for the directory.
+  EXPECT_EQ(intents - intents_before, 5u);  // every update crossed to the peer
+  // The background copies ran: both replicas end up holding a bullet file
+  // for the directory.
   for (int i = 0; i < 2; ++i) {
     auto& store = bed.storage(i).persistent<bullet::BulletStore>(
         "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); });
@@ -123,6 +120,8 @@ TEST(Counters, RpcResyncAfterRestart) {
   });
   while (!done) bed.sim().run_for(sim::msec(100));
 
+  obs::Counter& resyncs = bed.metrics().counter("dir.rpc", "resyncs");
+  const std::uint64_t resyncs_before = resyncs;
   bed.cluster().crash(bed.dir_server(1).id());
   bed.sim().run_for(sim::msec(500));
   done = false;
@@ -140,7 +139,7 @@ TEST(Counters, RpcResyncAfterRestart) {
 
   bed.cluster().restart(bed.dir_server(1).id());
   bed.sim().run_for(sim::sec(5));
-  EXPECT_GE(dir::rpc_dir_stats(bed.dir_server(1)).resyncs, 1u)
+  EXPECT_GE(resyncs - resyncs_before, 1u)
       << "restarted replica should fetch the missed update";
 }
 

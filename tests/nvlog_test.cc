@@ -143,9 +143,10 @@ struct Engine {
   net::Machine& m = cluster.add_machine("dir");
   DirState state{net::Port{500}};
   sim::Time last_activity = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t cancellations = 0;
-  obs::Counter mx_flushes = 0;
+  // The engine's counts, under the metrics layer it is given below.
+  obs::Counter& flushes = cluster.metrics().counter("dir.test", "flushes");
+  obs::Counter& cancellations =
+      cluster.metrics().counter("dir.test", "nvram_cancellations");
   std::vector<std::uint32_t> written;
   std::vector<std::uint64_t> finished;
   std::optional<NvramWriteBack> wb;
@@ -154,9 +155,7 @@ struct Engine {
     wb.emplace(m, NvramWriteBack::Config{
                       .nvram_bytes = nvram_bytes,
                       .last_activity = &last_activity,
-                      .flushes = &flushes,
-                      .cancellations = &cancellations,
-                      .mx_flushes = &mx_flushes,
+                      .layer = "dir.test",
                       .write_back =
                           [this](Storage&, std::uint32_t obj) {
                             sim.sleep_for(kWriteBackTime);
@@ -219,7 +218,6 @@ TEST(WriteBack, ConcurrentFlushCallersShareOnePass) {
   e.sim.run_until(e.sim.now() + sim::sec(1));
   EXPECT_EQ(returned, 2);
   EXPECT_EQ(e.flushes, 1u);
-  EXPECT_EQ(e.mx_flushes, 1u);
   EXPECT_EQ(e.written, std::vector<std::uint32_t>{dir.object});
   EXPECT_TRUE(e.nv().empty());
 }
@@ -370,13 +368,11 @@ TEST_P(WriteBackFlavor, SmallNvramFlushesAndReplicasAgree) {
   bed.sim().run_for(sim::sec(60));
   ASSERT_TRUE(done);
 
-  std::uint64_t flushes = 0;
   for (int i = 0; i < bed.num_dir_servers(); ++i) {
-    net::Machine& m = bed.dir_server(i);
-    flushes += group ? group_dir_stats(m).flushes : rpc_dir_stats(m).flushes;
     EXPECT_TRUE(bed.nvram_of(i)->empty()) << "server " << i;
   }
-  EXPECT_GT(flushes, 0u);
+  EXPECT_GT(bed.metrics().counter(group ? "dir.group" : "dir.rpc", "flushes"),
+            0u);
   ASSERT_EQ(snapshots.size(), static_cast<std::size_t>(bed.num_dir_servers()));
   const auto first = contents(snapshots.front());
   ASSERT_EQ(first.size(), 1u);

@@ -78,7 +78,7 @@ TEST_F(RpcFixture, LocateCachesServer) {
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(*chosen, s.id());
   // Exactly one broadcast (the single locate).
-  EXPECT_EQ(cluster.net().stats().broadcasts, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "broadcasts"), 1u);
 }
 
 TEST_F(RpcFixture, UnreachableWhenNoServer) {

@@ -400,12 +400,7 @@ void append_timeline(std::string& out, harness::Testbed& bed, sim::Time since,
 /// Wait (up to 120 s) until no directory server is recovering.
 void await_recovered(harness::Testbed& bed) {
   const sim::Time deadline = bed.sim().now() + sim::sec(120);
-  while (bed.sim().now() < deadline) {
-    bool all = true;
-    for (int i = 0; i < bed.num_dir_servers(); ++i) {
-      all = all && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-    }
-    if (all) break;
+  while (bed.sim().now() < deadline && bed.any_recovering()) {
     bed.sim().run_for(sim::msec(200));
   }
 }
