@@ -175,7 +175,8 @@ std::size_t truncate_torn(nvram::Nvram& nv) {
 }
 
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
-                       const DirState::ApplyEffect& effect) {
+                       const DirState::ApplyEffect& effect,
+                       std::uint64_t pinned) {
   auto op_res = peek_op(request);
   if (!op_res.is_ok()) return 0;
 
@@ -191,6 +192,7 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
       auto rop = peek_op(d.request);
       if (rop.is_ok() && *rop == DirOp::append_row &&
           request_target(d.request) == obj && request_row(d.request) == name) {
+        if (it->id <= pinned) return 0;
         nv.cancel(it->id);
         return 2;  // the append and the delete both elided
       }
@@ -218,6 +220,7 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
     for (const auto& rec : nv.records()) {
       if (!decodes(rec.data) || is_batch(rec.data)) continue;
       if (record_target(decode(rec.data)) == obj) {
+        if (rec.id <= pinned) return 0;
         to_cancel.push_back(rec.id);
       }
     }
@@ -304,7 +307,8 @@ void NvramWriteBack::log(Storage& st, const Buffer& request,
                          std::uint64_t secret, std::uint64_t seqno,
                          const DirState::ApplyEffect& effect,
                          obs::TraceContext tctx) {
-  const std::size_t cancelled = nvlog::try_cancel(nv_, request, effect);
+  const std::size_t cancelled =
+      nvlog::try_cancel(nv_, request, effect, pinned_);
   if (cancelled > 0) {
     mx_cancellations_ += cancelled;
     return;
@@ -336,6 +340,7 @@ void NvramWriteBack::flush(Storage& st) {
     NvramWriteBack* wb;
     ~Guard() {
       wb->flushing_ = false;
+      wb->pinned_ = 0;
       wb->flush_wq_.notify_all();
     }
   } guard{this};
@@ -346,6 +351,7 @@ void NvramWriteBack::flush(Storage& st) {
   std::vector<std::uint32_t> objs;
   for (const auto& rec : nv_.records()) {
     ids.push_back(rec.id);
+    pinned_ = rec.id;
     for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
       const std::uint32_t obj = nvlog::record_target(d);
       if (obj != 0 && std::find(objs.begin(), objs.end(), obj) == objs.end()) {

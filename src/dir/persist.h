@@ -93,9 +93,13 @@ std::uint32_t record_target(const Record& rec);
 /// The Sec. 4.1 cancellation: if `request` is a delete whose matching
 /// append (or created directory) still sits in the log, remove the matched
 /// records and report how many operations were elided (the delete itself
-/// included). Returns 0 when the caller should log the request instead.
+/// included). Records with id <= `pinned` belong to a flush pass in flight,
+/// which may already have written them to disk: a delete that matches one
+/// is not cancelled. Returns 0 when the caller should log the request
+/// instead.
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
-                       const DirState::ApplyEffect& effect);
+                       const DirState::ApplyEffect& effect,
+                       std::uint64_t pinned = 0);
 
 /// A crash mid-append leaves a truncated tail record. Treat it as a clean
 /// log end: drop undecodable records from the tail. Servers call this at
@@ -184,6 +188,9 @@ class NvramWriteBack {
   obs::Counter& mx_cancellations_;
   std::uint64_t delete_seqno_ = 0;  // logged delete_dir awaiting finish
   bool flushing_ = false;
+  /// Newest record id of the flush pass in flight (0 when none): records
+  /// up to it may be on disk already, so no delete cancels them.
+  std::uint64_t pinned_ = 0;
   sim::WaitQueue flush_wq_;
 };
 

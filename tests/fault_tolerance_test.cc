@@ -637,6 +637,60 @@ TEST(GroupNvram, WriteBackBlockLabelsTheRowsItWrote) {
   }
 }
 
+TEST(GroupNvram, DeleteDuringWriteBackOfItsAppendSurvivesRestart) {
+  // A delete must not cancel an append the write-back in flight may
+  // already have written to disk: the pass drops the append's record when
+  // it ends, so a cancelled delete would be neither logged nor on disk,
+  // and the row would come back after a total restart.
+  Testbed bed({.flavor = Flavor::group_nvram, .clients = 1, .seed = 31});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+    // A file of several Bullet blocks: the write-back takes ~100 ms.
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(d.append_retry(dcap, "r" + std::to_string(i)).is_ok());
+    }
+  });
+  bed.sim().run_for(sim::sec(2));  // idle: every log is written back
+
+  disk::VirtualDisk& disk0 = bed.vdisk(0);
+  const auto block = [&] { return disk0.peek(dcap.object).value_or(Buffer{}); };
+  const Buffer before = block();
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "a").is_ok()); });
+  // Server 0's write-back has begun once its first data block is written.
+  const std::uint64_t writes = disk0.writes();
+  const sim::Time limit = bed.sim().now() + sim::sec(5);
+  while (disk0.writes() == writes && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_GT(disk0.writes(), writes) << "no write-back started";
+  bool deleted = false;
+  d.cm.spawn("delete", [&] {
+    EXPECT_TRUE(d.dc->delete_row(dcap, "a").is_ok());
+    deleted = true;
+  });
+  // Crash once that write-back has rewritten the table block.
+  while ((!deleted || block() == before) && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_TRUE(deleted);
+  ASSERT_NE(block(), before) << "write-back did not finish";
+
+  total_restart(bed);
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  const auto states = replica_states(d);
+  ASSERT_EQ(states.size(), 3u);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EXPECT_FALSE(has_row(states[i], dcap.object, "a")) << "server " << i;
+    EXPECT_TRUE(has_row(states[i], dcap.object, "r99")) << "server " << i;
+  }
+}
+
 TEST(GroupNvram, ReusedObjectNumberFreesTheOldFile) {
   // A directory is deleted and another created under its object number
   // between two write-backs: the write-back of the new one must delete the

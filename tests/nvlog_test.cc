@@ -270,6 +270,55 @@ TEST(WriteBack, DeletingADirectoryBornInNvramCancelsItsHistory) {
   EXPECT_TRUE(e.finished.empty());
 }
 
+/// Start a flush pass in another process and return once it is writing.
+void start_pass(Engine& e) {
+  e.m.spawn("pass", [&e] {
+    Storage st(e.m, net::Port{1}, net::Port{2});
+    e.wb->flush(st);
+  });
+  e.sim.sleep_for(kWriteBackTime / 2);
+}
+
+TEST(WriteBack, DeleteOfAnAppendInTheFlushPassIsLogged) {
+  // The pass in flight may already have written the append to disk and
+  // drops its record when it ends: cancelling would lose the delete.
+  Engine e;
+  e.run([&](Storage& st) {
+    const cap::Capability dir = e.create(st, 1);
+    e.wb->flush(st);
+    (void)e.update(st, make_append_row(dir, "tmp", {row_cap(1)}), 2);
+    start_pass(e);
+    (void)e.update(st, make_delete_row(dir, "tmp"), 3);
+    EXPECT_EQ(e.cancellations, 0u);
+    e.wb->wait_idle();
+    ASSERT_EQ(e.nv().record_count(), 1u);  // the pass dropped the append
+    EXPECT_EQ(decode(e.nv().records().front().data).seqno, 3u);
+    // With no pass in flight, a fresh pair cancels again.
+    (void)e.update(st, make_append_row(dir, "tmp2", {row_cap(1)}), 4);
+    (void)e.update(st, make_delete_row(dir, "tmp2"), 5);
+    EXPECT_EQ(e.cancellations, 2u);
+  });
+}
+
+TEST(WriteBack, DeleteOfADirectoryInTheFlushPassIsLogged) {
+  // Born in NVRAM, but the pass in flight may already have written it:
+  // the delete is logged, and the next pass writes the deletion back.
+  Engine e;
+  e.run([&](Storage& st) {
+    const cap::Capability dir = e.create(st, 1);
+    start_pass(e);
+    (void)e.update(st, make_delete_dir(dir), 2);
+    EXPECT_EQ(e.cancellations, 0u);
+    e.wb->wait_idle();
+    ASSERT_EQ(e.nv().record_count(), 1u);
+    EXPECT_EQ(decode(e.nv().records().front().data).seqno, 2u);
+    e.wb->flush(st);
+    EXPECT_EQ(e.written,
+              (std::vector<std::uint32_t>{dir.object, dir.object}));
+  });
+  EXPECT_TRUE(e.nv().empty());
+}
+
 TEST(WriteBack, LoggedDirectoryDeleteReachesTheFinishHook) {
   Engine e;
   e.run([&](Storage& st) {
