@@ -121,10 +121,9 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
   }
   root.set("servers", std::move(servers));
   if (is_group(bed.options().flavor)) {
-    const obs::Metrics::Snapshot snap = bed.metrics().snapshot();
-    const auto it = snap.find("dir.group.recoveries");
-    root.set("recoveries",
-             obs::Json::uinteger(it != snap.end() ? it->second : 0));
+    // Cluster-wide: the registry holds one count for every server.
+    const std::uint64_t n = bed.metrics().counter("dir.group", "recoveries");
+    root.set("recoveries", obs::Json::uinteger(n));
   }
 
   // In-flight operations: causal trees with recorded activity whose client

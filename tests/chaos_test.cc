@@ -19,7 +19,6 @@
 
 #include "check/simfuzz.h"
 #include "dir/client.h"
-#include "dir/group_server.h"
 #include "harness/testbed.h"
 
 namespace amoeba::harness {

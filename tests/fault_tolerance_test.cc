@@ -8,7 +8,6 @@
 #include "check/simfuzz.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
-#include "dir/rpc_server.h"
 #include "dir/types.h"
 #include "disk/vdisk.h"
 #include "harness/workload.h"
@@ -152,7 +151,7 @@ bool group_ready(Testbed& bed, std::initializer_list<int> servers) {
 void run_until_ready(Testbed& bed, std::initializer_list<int> servers,
                      sim::Duration limit = sim::sec(60)) {
   const sim::Time deadline = bed.sim().now() + limit;
-  // Let freshly restarted service mains reset their stats before polling.
+  // Let freshly restarted service mains reset their recovery state first.
   bed.sim().run_for(sim::msec(10));
   while (bed.sim().now() < deadline) {
     if (group_ready(bed, servers)) return;

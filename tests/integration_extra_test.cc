@@ -5,9 +5,6 @@
 
 #include "bullet/bullet.h"
 #include "dir/client.h"
-#include "dir/group_server.h"
-#include "dir/nfs_server.h"
-#include "dir/rpc_server.h"
 #include "harness/workload.h"
 
 namespace amoeba::harness {
