@@ -6,7 +6,6 @@
 // write-behind data and synchronous metadata).
 #pragma once
 
-
 #include "net/cluster.h"
 
 namespace amoeba::dir {

@@ -1,5 +1,7 @@
 #include "harness/testbed.h"
 
+#include <algorithm>
+
 #include "bullet/bullet.h"
 #include "disk/disk_server.h"
 #include "dir/persist.h"
