@@ -1032,11 +1032,11 @@ void service_main(Machine& machine, GroupDirOptions opts) {
             .layer = "dir.group",
             .write_back =
                 [&ctx](Storage& st, std::uint32_t obj) {
-                  if (ctx.state.entry(obj) != nullptr) {
-                    retire(st, persist_object(ctx, st, obj));
-                  } else {
-                    retire(st, clear_table_block(ctx, st, obj));
-                  }
+                  const auto old = ctx.state.entry(obj) != nullptr
+                                       ? persist_object(ctx, st, obj)
+                                       : clear_table_block(ctx, st, obj);
+                  retire(st, old);
+                  return old.is_ok();
                 },
             // Fig. 4: a flushed directory deletion advances the commit
             // block's seqno.

@@ -297,18 +297,25 @@ void NvramWriteBack::note_delete(const Buffer& request, std::uint64_t seqno) {
   }
 }
 
-void NvramWriteBack::append(Storage& st, std::uint64_t tag, Buffer encoded,
-                            obs::TraceContext tctx) {
+void NvramWriteBack::pin(std::uint32_t obj, std::uint64_t id) {
+  std::uint64_t& through = written_through_[obj];
+  through = std::max(through, id);
+}
+
+std::uint64_t NvramWriteBack::append(Storage& st, std::uint64_t tag,
+                                     Buffer encoded, obs::TraceContext tctx) {
   while (!nv_.would_fit(encoded.size())) flush(st);
-  (void)nv_.append(tag, std::move(encoded), tctx);
+  return nv_.append(tag, std::move(encoded), tctx).value();
 }
 
 void NvramWriteBack::log(Storage& st, const Buffer& request,
                          std::uint64_t secret, std::uint64_t seqno,
                          const DirState::ApplyEffect& effect,
                          obs::TraceContext tctx) {
-  const std::size_t cancelled =
-      nvlog::try_cancel(nv_, request, effect, pinned_);
+  const auto pinned = written_through_.find(nvlog::request_target(request));
+  const std::size_t cancelled = nvlog::try_cancel(
+      nv_, request, effect,
+      pinned == written_through_.end() ? 0 : pinned->second);
   if (cancelled > 0) {
     mx_cancellations_ += cancelled;
     return;
@@ -317,15 +324,26 @@ void NvramWriteBack::log(Storage& st, const Buffer& request,
   // obligation (the commit-block seqno of Fig. 4).
   note_delete(request, seqno);
   const nvlog::Record rec = nvlog::make_record(request, secret, seqno, effect);
-  append(st, nvlog::record_target(rec), nvlog::encode(rec), tctx);
+  // The append yields (a stall on a full log, the NVRAM write): a
+  // write-back of the object that starts meanwhile writes this update too.
+  Appending self{.obj = nvlog::record_target(rec)};
+  appending_.push_back(&self);
+  struct Unregister {
+    std::vector<Appending*>& appending;
+    Appending* self;
+    ~Unregister() { std::erase(appending, self); }
+  } unregister{appending_, &self};
+  const std::uint64_t id = append(st, self.obj, nvlog::encode(rec), tctx);
+  if (self.written) pin(self.obj, id);
 }
 
 void NvramWriteBack::log_batch(Storage& st,
                                const std::vector<nvlog::Record>& subs,
                                std::uint64_t seqno, obs::TraceContext tctx) {
   for (const auto& rec : subs) note_delete(rec.request, seqno);
-  append(st, nvlog::record_target(subs.front()),
-         nvlog::encode_batch(seqno, subs), tctx);
+  // Never cancelled (see nvlog::try_cancel), so never pinned.
+  (void)append(st, nvlog::record_target(subs.front()),
+               nvlog::encode_batch(seqno, subs), tctx);
 }
 
 void NvramWriteBack::wait_idle() {
@@ -340,18 +358,16 @@ void NvramWriteBack::flush(Storage& st) {
     NvramWriteBack* wb;
     ~Guard() {
       wb->flushing_ = false;
-      wb->pinned_ = 0;
       wb->flush_wq_.notify_all();
     }
   } guard{this};
 
   // Snapshot which objects the log mentions; anything appended during the
   // disk writes below stays in the log for the next pass.
-  std::vector<std::uint64_t> ids;
+  const std::uint64_t snapshot_end =
+      nv_.empty() ? 0 : nv_.records().back().id;
   std::vector<std::uint32_t> objs;
   for (const auto& rec : nv_.records()) {
-    ids.push_back(rec.id);
-    pinned_ = rec.id;
     for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
       const std::uint32_t obj = nvlog::record_target(d);
       if (obj != 0 && std::find(objs.begin(), objs.end(), obj) == objs.end()) {
@@ -359,16 +375,41 @@ void NvramWriteBack::flush(Storage& st) {
       }
     }
   }
-  for (std::uint32_t obj : objs) cfg_.write_back(st, obj);
+  std::vector<std::uint32_t> failed;
+  for (std::uint32_t obj : objs) {
+    // The hook takes the object's state now: every update of it applied so
+    // far may reach the disk, logged or still being appended.
+    if (!nv_.empty()) pin(obj, nv_.records().back().id);
+    for (Appending* a : appending_) a->written |= a->obj == obj;
+    if (!cfg_.write_back(st, obj)) failed.push_back(obj);
+  }
   const std::uint64_t deletes = std::exchange(delete_seqno_, 0);
   if (cfg_.finish) cfg_.finish(st, deletes);
-  for (std::uint64_t id : ids) (void)nv_.cancel(id);
+  const auto mentions_failed = [&failed](const nvram::Record& rec) {
+    if (failed.empty()) return false;
+    for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
+      if (std::ranges::find(failed, nvlog::record_target(d)) != failed.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<std::uint64_t> done;
+  for (const auto& rec : nv_.records()) {
+    if (rec.id > snapshot_end) break;
+    if (!mentions_failed(rec)) done.push_back(rec.id);
+  }
+  for (std::uint64_t id : done) (void)nv_.cancel(id);
+  std::erase_if(written_through_, [this](const auto& entry) {
+    return nv_.empty() || entry.second < nv_.records().front().id;
+  });
   ++mx_flushes_;
 }
 
 void NvramWriteBack::clear() {
   while (!nv_.empty()) nv_.pop_front();
   delete_seqno_ = 0;
+  written_through_.clear();
 }
 
 std::uint64_t NvramWriteBack::recover(DirState& state) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "bullet/bullet.h"
@@ -93,10 +94,9 @@ std::uint32_t record_target(const Record& rec);
 /// The Sec. 4.1 cancellation: if `request` is a delete whose matching
 /// append (or created directory) still sits in the log, remove the matched
 /// records and report how many operations were elided (the delete itself
-/// included). Records with id <= `pinned` belong to a flush pass in flight,
-/// which may already have written them to disk: a delete that matches one
-/// is not cancelled. Returns 0 when the caller should log the request
-/// instead.
+/// included). Records of the target object with id <= `pinned` may already
+/// be on disk: a delete that matches one is not cancelled. Returns 0 when
+/// the caller should log the request instead.
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
                        const DirState::ApplyEffect& effect,
                        std::uint64_t pinned = 0);
@@ -135,8 +135,11 @@ class NvramWriteBack {
     /// cancellation elided in "<layer>.nvram_cancellations".
     const char* layer = "";
     /// Write one logged object back: its current state, or its deletion
-    /// when the in-memory state no longer holds it.
-    std::function<void(Storage&, std::uint32_t obj)> write_back = nullptr;
+    /// when the in-memory state no longer holds it. The state is taken
+    /// when the hook is called, before it yields. Returns false when the
+    /// write did not reach the disk: the object's records then stay in the
+    /// log for the next pass.
+    std::function<bool(Storage&, std::uint32_t obj)> write_back = nullptr;
     /// Optional; ends every flush pass with the highest delete_dir seqno
     /// logged since the previous one (0 if none).
     std::function<void(Storage&, std::uint64_t delete_seqno)> finish = nullptr;
@@ -149,6 +152,8 @@ class NvramWriteBack {
   /// Log an update instead of touching the disk, or cancel it against a
   /// still-logged append or create. An update that does not fit stalls on
   /// a flush: the visible cost of a small NVRAM, in the critical path.
+  /// The caller applies the update in memory and calls this without
+  /// yielding in between.
   void log(Storage& st, const Buffer& request, std::uint64_t secret,
            std::uint64_t seqno, const DirState::ApplyEffect& effect,
            obs::TraceContext tctx = {});
@@ -159,7 +164,8 @@ class NvramWriteBack {
                  std::uint64_t seqno, obs::TraceContext tctx = {});
 
   /// Write back every object the log mentions and drop the records that
-  /// pass covered. Single-flight: a caller arriving mid-pass waits for it.
+  /// pass covered, except those of an object whose write-back failed.
+  /// Single-flight: a caller arriving mid-pass waits for it.
   void flush(Storage& st);
 
   /// Return once no flush pass is in flight (one runs at a time).
@@ -176,10 +182,19 @@ class NvramWriteBack {
   [[noreturn]] void flusher_loop(Storage& st);
 
  private:
+  /// An update log() is appending: applied in memory, not yet in the log.
+  struct Appending {
+    std::uint32_t obj = 0;
+    bool written = false;  // a write-back of `obj` started meanwhile
+  };
+
   /// Append `encoded`, flushing first for as long as it does not fit.
-  void append(Storage& st, std::uint64_t tag, Buffer encoded,
-              obs::TraceContext tctx);
+  /// Returns the new record's id.
+  std::uint64_t append(Storage& st, std::uint64_t tag, Buffer encoded,
+                       obs::TraceContext tctx);
   void note_delete(const Buffer& request, std::uint64_t seqno);
+  /// No delete may cancel a record of `obj` with id <= `id`.
+  void pin(std::uint32_t obj, std::uint64_t id);
 
   net::Machine& machine_;
   Config cfg_;
@@ -188,9 +203,14 @@ class NvramWriteBack {
   obs::Counter& mx_cancellations_;
   std::uint64_t delete_seqno_ = 0;  // logged delete_dir awaiting finish
   bool flushing_ = false;
-  /// Newest record id of the flush pass in flight (0 when none): records
-  /// up to it may be on disk already, so no delete cancels them.
-  std::uint64_t pinned_ = 0;
+  /// Per object, the newest record id a write-back of it may have put on
+  /// disk: set when its write-back starts, and for an update still being
+  /// appended then. The pass drops only the records it snapshotted, so a
+  /// record logged before the write-back but after the snapshot stays in
+  /// the log although the disk holds it; cancelling it would lose the
+  /// delete. An entry goes once the log holds no record at or below it.
+  std::map<std::uint32_t, std::uint64_t> written_through_;
+  std::vector<Appending*> appending_;
   sim::WaitQueue flush_wq_;
 };
 

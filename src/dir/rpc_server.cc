@@ -520,9 +520,10 @@ void service_main(Machine& machine, RpcDirOptions opts) {
             // the delete.
             .write_back =
                 [&ctx](Storage& st, std::uint32_t obj) {
-                  if (ctx.state.entry(obj) != nullptr) {
-                    retire(st, copy_object(ctx, st, obj));
-                  }
+                  if (ctx.state.entry(obj) == nullptr) return true;
+                  const auto old = copy_object(ctx, st, obj);
+                  retire(st, old);
+                  return old.is_ok();
                 },
         });
   }

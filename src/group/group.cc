@@ -306,10 +306,9 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
         std::sort(members.begin(), members.end());
       }
       if (member_nonce[rec.origin.v] != rec.origin_msgid) {
-        // The origin rebooted: its msgid space restarted at 1, so dedup
-        // entries from its previous incarnation would silently swallow its
-        // new messages (delivered everywhere else, dropped here — a lost
-        // acked write). Forget everything keyed by this origin.
+        // The origin rebooted: its msgid space starts afresh, so dedup
+        // entries from its previous incarnation are dead weight. Forget
+        // everything keyed by this origin.
         member_nonce[rec.origin.v] = rec.origin_msgid;
         const std::uint16_t ov = rec.origin.v;
         std::erase_if(delivered_ids,
@@ -895,11 +894,10 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
     case WireType::join_confirm: {
       // Phase 2: the joiner installed OUR view (gid already verified), so
       // membership is now unambiguous. Sequence the join record carrying
-      // the joiner's boot nonce; every member processing it resets the
-      // joiner's dedup state (its msgid space restarted at 1 — stale
-      // entries would silently swallow its new messages as lost acked
-      // writes). Self-delivery updates member_nonce synchronously, which
-      // also dedups retries of the confirm itself.
+      // the joiner's boot nonce; every member processing it drops the
+      // dedup state of the joiner's previous incarnation. Self-delivery
+      // updates member_nonce synchronously, which also dedups retries of
+      // the confirm itself.
       const MachineId joiner = MachineId{r.u16()};
       const std::uint64_t nonce = r.u64();
       if (state != MemberState::normal || !i_am_sequencer()) return;
@@ -1091,6 +1089,12 @@ std::shared_ptr<GroupMember::Ctx> GroupMember::make_ctx(net::Machine& machine,
   }
   auto ctx = std::make_shared<Ctx>(machine, std::move(cfg));
   ctx->endpoint.emplace(machine, ctx->cfg.port);
+  // Each incarnation numbers its messages from its creation instant, so a
+  // machine never reuses a msgid. A member that missed another's rejoin
+  // (it was resetting meanwhile) never sees the newcomer's join record;
+  // with msgids restarting at 1 it would drop the newcomer's messages as
+  // duplicates of its predecessor's, skipping ordered deliveries.
+  ctx->next_msgid = (static_cast<std::uint64_t>(ctx->now()) << 20) + 1;
   return ctx;
 }
 

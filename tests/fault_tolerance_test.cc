@@ -690,6 +690,82 @@ TEST(GroupNvram, DeleteDuringWriteBackOfItsAppendSurvivesRestart) {
   }
 }
 
+TEST(GroupNvram, DeleteAfterWriteBackOfItsAppendSurvivesRestart) {
+  // A write-back pass snapshots two directories and writes the big one
+  // first. An append to the small one lands meanwhile: it is not in the
+  // snapshot, so its record outlives the pass, but the pass then writes
+  // the small directory with the row. A delete of the row after the pass
+  // must still be logged, or the row comes back after a total restart.
+  Testbed bed({.flavor = Flavor::group_nvram, .clients = 1, .seed = 31});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability big;
+  cap::Capability small;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    big = *res;
+    // A file of several Bullet blocks: the write-back takes ~100 ms.
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(d.append_retry(big, "r" + std::to_string(i)).is_ok());
+    }
+    res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    small = *res;
+  });
+  bed.sim().run_for(sim::sec(2));  // idle: every log is written back
+
+  disk::VirtualDisk& disk0 = bed.vdisk(0);
+  const auto block = [&] {
+    return disk0.peek(small.object).value_or(Buffer{});
+  };
+  const Buffer before = block();
+  d.step([&] {
+    ASSERT_TRUE(d.append_retry(big, "x").is_ok());
+    ASSERT_TRUE(d.append_retry(small, "y").is_ok());
+  });
+  // Server 0's write-back of the big directory has begun once its first
+  // data block is written.
+  const std::uint64_t writes = disk0.writes();
+  const sim::Time limit = bed.sim().now() + sim::sec(5);
+  while (disk0.writes() == writes && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_GT(disk0.writes(), writes) << "no write-back started";
+  bool appended = false;
+  d.cm.spawn("append", [&] {
+    EXPECT_TRUE(d.dc->append_row(small, "a", {}).is_ok());
+    appended = true;
+  });
+  while (!appended && bed.sim().now() < limit) bed.sim().run_for(sim::msec(1));
+  ASSERT_TRUE(appended);
+  ASSERT_EQ(block(), before) << "the small directory was written first";
+  // The pass goes on to write the small directory, "a" included.
+  while (block() == before && bed.sim().now() < limit) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_NE(block(), before) << "write-back did not finish";
+  bool deleted = false;
+  d.cm.spawn("delete", [&] {
+    EXPECT_TRUE(d.dc->delete_row(small, "a").is_ok());
+    deleted = true;
+  });
+  // Crash before the next pass writes the deletion back.
+  while (!deleted && bed.sim().now() < limit) bed.sim().run_for(sim::msec(1));
+  ASSERT_TRUE(deleted);
+
+  total_restart(bed);
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  const auto states = replica_states(d);
+  ASSERT_EQ(states.size(), 3u);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EXPECT_FALSE(has_row(states[i], small.object, "a")) << "server " << i;
+    EXPECT_TRUE(has_row(states[i], small.object, "y")) << "server " << i;
+    EXPECT_TRUE(has_row(states[i], big.object, "x")) << "server " << i;
+  }
+}
+
 TEST(GroupNvram, ReusedObjectNumberFreesTheOldFile) {
   // A directory is deleted and another created under its object number
   // between two write-backs: the write-back of the new one must delete the

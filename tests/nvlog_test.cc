@@ -13,6 +13,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 #include "dir/client.h"
 #include "dir/persist.h"
@@ -135,8 +136,9 @@ TEST(NvlogTorn, TornAppendFaultInjectionLeavesPartialTail) {
 constexpr sim::Duration kWriteBackTime = sim::msec(10);
 
 /// One machine running an NvramWriteBack over a DirState. The write-back
-/// hook takes simulated disk time and records which objects it wrote; the
-/// finish hook records the delete seqno of every pass.
+/// hook takes simulated disk time and records which objects it wrote (and
+/// fails for those in `failing`); the finish hook records the delete seqno
+/// of every pass.
 struct Engine {
   sim::Simulator sim{21};
   net::Cluster cluster{sim};
@@ -148,6 +150,7 @@ struct Engine {
   obs::Counter& cancellations =
       cluster.metrics().counter("dir.test", "nvram_cancellations");
   std::vector<std::uint32_t> written;
+  std::set<std::uint32_t> failing;
   std::vector<std::uint64_t> finished;
   std::optional<NvramWriteBack> wb;
 
@@ -160,6 +163,7 @@ struct Engine {
                           [this](Storage&, std::uint32_t obj) {
                             sim.sleep_for(kWriteBackTime);
                             written.push_back(obj);
+                            return !failing.contains(obj);
                           },
                       .finish =
                           [this](Storage&, std::uint64_t delete_seqno) {
@@ -317,6 +321,73 @@ TEST(WriteBack, DeleteOfADirectoryInTheFlushPassIsLogged) {
               (std::vector<std::uint32_t>{dir.object, dir.object}));
   });
   EXPECT_TRUE(e.nv().empty());
+}
+
+TEST(WriteBack, DeleteOfAnAppendTheNextWriteBackTookIsLogged) {
+  // The pass snapshots x and y, then writes x. An append to y logged
+  // meanwhile is not in the snapshot and outlives the pass, but the
+  // write-back of y that follows put it on disk: its delete, even once the
+  // pass has ended, is logged.
+  Engine e;
+  e.run([&](Storage& st) {
+    const cap::Capability x = e.create(st, 1);
+    const cap::Capability y = e.create(st, 2);
+    start_pass(e);
+    (void)e.update(st, make_append_row(y, "tmp", {row_cap(1)}), 3);
+    e.wb->wait_idle();
+    ASSERT_EQ(e.written, (std::vector<std::uint32_t>{x.object, y.object}));
+    ASSERT_EQ(e.nv().record_count(), 1u);
+    (void)e.update(st, make_delete_row(y, "tmp"), 4);
+    EXPECT_EQ(e.cancellations, 0u);
+    ASSERT_EQ(e.nv().record_count(), 2u);
+    EXPECT_EQ(decode(e.nv().records().back().data).seqno, 4u);
+    // Once a pass has written the delete back, a fresh pair cancels again.
+    e.wb->flush(st);
+    EXPECT_TRUE(e.nv().empty());
+    (void)e.update(st, make_append_row(y, "tmp2", {row_cap(1)}), 5);
+    (void)e.update(st, make_delete_row(y, "tmp2"), 6);
+    EXPECT_EQ(e.cancellations, 2u);
+  });
+}
+
+TEST(WriteBack, DeleteOfAnAppendThatWaitedOutAPassIsLogged) {
+  // The append stalled on the full log while a pass wrote its directory
+  // back, so the disk holds it although the log does too.
+  Engine e(/*nvram_bytes=*/256);
+  e.run([&](Storage& st) {
+    const cap::Capability dir = e.create(st, 1);
+    std::uint64_t seqno = 2;
+    std::string row;
+    for (; e.flushes == 0; ++seqno) {
+      ASSERT_LT(seqno, 20u) << "the NVRAM never filled";
+      row = "row" + std::to_string(seqno);
+      (void)e.update(st, make_append_row(dir, row, {row_cap(1)}), seqno);
+    }
+    ASSERT_EQ(e.nv().record_count(), 1u);
+    (void)e.update(st, make_delete_row(dir, row), seqno);
+    EXPECT_EQ(e.cancellations, 0u);
+    EXPECT_EQ(decode(e.nv().records().back().data).seqno, seqno);
+  });
+}
+
+TEST(WriteBack, FailedWriteBackKeepsItsRecordsForTheNextPass) {
+  // Dropping them would leave the update neither on disk nor in the log.
+  Engine e;
+  e.run([&](Storage& st) {
+    const cap::Capability x = e.create(st, 1);
+    const cap::Capability y = e.create(st, 2);
+    (void)e.update(st, make_append_row(y, "a", {row_cap(1)}), 3);
+    e.failing.insert(y.object);
+    e.wb->flush(st);
+    ASSERT_EQ(e.nv().record_count(), 2u);
+    EXPECT_EQ(decode(e.nv().records().front().data).seqno, 2u);
+    EXPECT_EQ(decode(e.nv().records().back().data).seqno, 3u);
+    e.failing.clear();
+    e.wb->flush(st);
+    EXPECT_TRUE(e.nv().empty());
+    EXPECT_EQ(e.written, (std::vector<std::uint32_t>{x.object, y.object,
+                                                     y.object}));
+  });
 }
 
 TEST(WriteBack, LoggedDirectoryDeleteReachesTheFinishHook) {

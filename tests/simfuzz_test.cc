@@ -355,6 +355,46 @@ TEST(SimFuzz, RegressionAllReplicasRecoveringLivelock) {
   EXPECT_TRUE(r.replicas_agree);
 }
 
+TEST(SimFuzz, RegressionFailedWriteBackKeepsTheNvramLog) {
+  // From `simfuzz --flavor group_nvram --seed 57`: server 1's NVRAM
+  // write-back timed out on the Bullet create, but the pass dropped its
+  // records anyway. The disk never got the directory; after a crash the
+  // server booted from the log's one remaining record, claimed the newest
+  // seqno, skipped state transfer and served an empty directory table
+  // (bad_capability, non-linearizable history). A failed write-back now
+  // keeps the object's records for the next pass.
+  FuzzOptions opts;
+  opts.flavor = harness::Flavor::group_nvram;
+  opts.seed = 57;
+  auto sched =
+      decode_schedule("q/844/559,q/893/1301,l0.10/1709/595,j1/1517/1140");
+  ASSERT_TRUE(sched.is_ok());
+  opts.schedule = *sched;
+  FuzzReport r = run_one(opts);
+  EXPECT_TRUE(r.ok) << r.failure;
+  EXPECT_TRUE(r.replicas_agree);
+}
+
+TEST(SimFuzz, RegressionRejoinedMemberIsNotTakenForItsPredecessor) {
+  // From `simfuzz --flavor group_nvram --seed 66`: server 2 left and
+  // rejoined while server 1 was stuck resetting, so server 1 never saw the
+  // join record that clears the old incarnation's dedup entries. Once back
+  // in one group, server 1 dropped server 2's new messages as duplicates
+  // (their msgids restarted at 1) and skipped ordered deliveries: the
+  // replicas diverged. Msgids now never repeat across incarnations.
+  FuzzOptions opts;
+  opts.flavor = harness::Flavor::group_nvram;
+  opts.seed = 66;
+  auto sched = decode_schedule(
+      "L2:17.00x0.00/1709/595,j1/1517/1140,p2/812/779,q/1512/1270,"
+      "j0/1148/885,N0:44.00/1372/761");
+  ASSERT_TRUE(sched.is_ok());
+  opts.schedule = *sched;
+  FuzzReport r = run_one(opts);
+  EXPECT_TRUE(r.ok) << r.failure;
+  EXPECT_TRUE(r.replicas_agree);
+}
+
 TEST(SimFuzz, TinyHistoryLimitStillConverges) {
   // With the group-history GC nearly disabled (limit 16), a crashed or
   // lagging server routinely needs records that every peer has pruned. The

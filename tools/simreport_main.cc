@@ -509,7 +509,8 @@ void run_replica_restart(std::uint64_t seed, std::string& out) {
   bed.sim().run_for(sim::sec(4));
   const sim::Time restart_at = bed.sim().now();
   bed.cluster().restart(victim.id());
-  bed.sim().run_for(sim::msec(10));  // the restarted server resets its stats
+  // The restarted server resets its recovery state.
+  bed.sim().run_for(sim::msec(10));
   await_recovered(bed);
   bed.sim().run_for(sim::sec(1));
   stop = true;
